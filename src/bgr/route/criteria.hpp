@@ -58,20 +58,8 @@ struct SelectionKey {
   std::int32_t f_max = 0;
   std::int32_t n_max = 0;
   double neg_length = 0.0;
-};
 
-/// Cached selection key of one candidate edge. Invalidation is stamp-based
-/// and local: the stamp folds the monotone versions of everything the key
-/// reads — the member nets' estimate versions, the touched channels'
-/// density versions, and the per-constraint timing versions of the net's
-/// constraint set (TimingAnalyzer::version). With the incremental analyzer
-/// a constraint's version moves only when its arrival times actually
-/// changed, so a deletion invalidates exactly the dirty-net set's keys
-/// instead of every timing-active key.
-struct ScoreCache {
-  SelectionKey key;
-  std::uint64_t stamp = 0;  // combined input versions at computation time
-  bool valid = false;
+  friend bool operator==(const SelectionKey&, const SelectionKey&) = default;
 };
 
 /// Lexicographic comparison under the given tier order. Returns true when

@@ -25,8 +25,8 @@ const char* path_search_backend_name(PathSearchBackend backend) {
 namespace {
 
 /// Search-effort counters. Everything value-driven is semantic: the set of
-/// searches the router runs is a function of the design alone (the score
-/// warm-up computes exactly the keys the serial scan would), and each
+/// searches the router runs is a function of the design alone (a parallel
+/// re-key computes exactly the keys a serial one would), and each
 /// search's pop/relax/bucket counts are a function of the graph and the
 /// backend. Arena reuse/growth, by contrast, depends on which exec slot a
 /// chunk happens to land on — schedule-dependent, so nondeterministic.

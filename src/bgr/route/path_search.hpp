@@ -222,8 +222,8 @@ SearchEffort path_search_tree(const SmallGraph& graph,
 
 /// Cached no-skip reference search over one routing graph, rebuilt at the
 /// serial mutation points (graph build, committed edge deletion) and read
-/// concurrently by the score warm-up. The scoring loop asks for the
-/// tentative tree under dozens of hypothetical single-edge deletions of
+/// concurrently by parallel key re-computes. The scoring loop asks for
+/// the tentative tree under dozens of hypothetical single-edge deletions of
 /// the *same* graph; the cache answers most of them without a search:
 ///
 ///   - `dist` is canonical: every label is a min over single additions
@@ -249,8 +249,8 @@ struct SearchCache {
 };
 
 /// Search-effort totals the router snapshots per phase. Value-driven, so
-/// deterministic across thread counts (the score warm-up computes exactly
-/// the keys the serial scan would, hence the same searches run).
+/// deterministic across thread counts (a parallel re-key computes exactly
+/// the keys a serial one would, hence the same searches run).
 struct PathSearchStats {
   std::int64_t searches = 0;
   std::int64_t pops = 0;
@@ -259,7 +259,7 @@ struct PathSearchStats {
 
 /// Pluggable path-search engine shared by one router: the backend choice,
 /// one scratch arena per exec slot (indexed by ExecContext::current_slot,
-/// so concurrent score warm-up searches never share state), and the
+/// so concurrent re-key searches never share state), and the
 /// running effort totals. RoutingGraphs get a pointer via
 /// set_path_search(); graphs without an engine fall back to a private
 /// Dijkstra scratch, preserving the historical standalone behavior.

@@ -16,7 +16,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Construction-effort counters. All value-driven, hence semantic: the
 /// set of constructions the router runs and each construction's
 /// pop/relax counts are a function of the design and the options alone
-/// (the score warm-up computes exactly the keys the serial scan would).
+/// (a parallel re-key computes exactly the keys a serial one would).
 struct SteinerMetrics {
   Counter& trees = MetricsRegistry::global().counter(
       "steiner.trees", MetricScope::kSemantic);

@@ -79,15 +79,16 @@ TEST(Density, EdgeParamsFigure4Semantics) {
   EXPECT_EQ(ep2.nd_max, 2);
 }
 
-TEST(Density, VersionBumpsOnEveryChange) {
-  DensityMap map(2, 10);
-  const auto v0 = map.version(0);
-  map.add_total(0, {0, 1}, 1);
-  EXPECT_GT(map.version(0), v0);
-  EXPECT_EQ(map.version(1), 0u);
-  const auto v1 = map.version(0);
-  map.add_bridge(0, {0, 0}, 1);
-  EXPECT_GT(map.version(0), v1);
+TEST(Density, ChannelParamsCompareWhole) {
+  // The selection loop re-keys a whole channel only when its aggregates
+  // moved; a chart change below the peak must leave them equal.
+  DensityMap map(1, 10);
+  map.add_total(0, {0, 5}, 2);
+  const ChannelDensityParams before = map.channel_params(0);
+  map.add_total(0, {7, 8}, 1);
+  EXPECT_EQ(map.channel_params(0), before);
+  map.add_total(0, {8, 8}, 1);
+  EXPECT_NE(map.channel_params(0), before);  // ties the peak: nc_max moves
 }
 
 TEST(Density, SumMaxDensity) {

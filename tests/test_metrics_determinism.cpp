@@ -48,9 +48,9 @@ TEST(MetricsDeterminism, SemanticSnapshotIsNonTrivial) {
   // The snapshot only proves determinism if routing actually exercised
   // the instrumented paths.
   for (const char* name :
-       {"route.deleted_edges", "route.score_cache_miss", "route.graphs_built",
-        "path.searches", "path.relaxations", "sta.full_sweeps",
-        "channel.segments"}) {
+       {"route.deleted_edges", "route.score_cache_miss",
+        "route.key_delay_evals", "route.graphs_built", "path.searches",
+        "path.relaxations", "sta.full_sweeps", "channel.segments"}) {
     EXPECT_GT(registry.counter(name, MetricScope::kSemantic).value(), 0)
         << name;
   }

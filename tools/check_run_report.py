@@ -41,6 +41,10 @@ ROUTE_SECTIONS = ("design", "options", "result", "stats", "phases", "run")
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
     "route.graphs_built",
+    # Selection-key effort (DESIGN.md §5): half recomputations, of which
+    # delay halves (path search + STA evaluation).
+    "route.score_cache_miss",
+    "route.key_delay_evals",
     "path.searches",
     "path.pops",
     "path.relaxations",
