@@ -182,6 +182,7 @@ RunReport make_run_report(const GlobalRouter& router,
   // only in --threads must compare semantically equal.
   JsonValue& run = report.section("run");
   run.set("wall_seconds", info.wall_seconds);
+  if (info.verify_seconds) run.set("verify_seconds", *info.verify_seconds);
   run.set("threads", static_cast<std::int64_t>(opt.threads));
   run.set("threads_resolved",
           static_cast<std::int64_t>(opt.threads == 0

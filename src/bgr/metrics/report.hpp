@@ -1,6 +1,8 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bgr/channel/channel_router.hpp"
@@ -42,13 +44,14 @@ struct RouteStats {
 void print_stats(std::ostream& os, const RouteStats& stats);
 
 /// Run-scoped inputs to make_run_report() that only the caller knows:
-/// identity of the design, the end-to-end wall time, and the channel-stage
-/// (detailed) critical delay.
+/// identity of the design, the end-to-end wall time, the channel-stage
+/// (detailed) critical delay, and the signoff wall time when it ran.
 struct RunReportInfo {
   std::string design;
   bool constrained = true;
   double detailed_delay_ps = 0.0;
   double wall_seconds = 0.0;
+  std::optional<double> verify_seconds;  // "run.verify_seconds" when set
 };
 
 /// Builds the `--metrics-out` document: design/options/result/stats are

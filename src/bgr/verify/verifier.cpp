@@ -1,8 +1,14 @@
 #include "bgr/verify/verifier.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
+#include <utility>
+
+#include "bgr/obs/trace.hpp"
 
 namespace bgr {
 namespace {
@@ -12,9 +18,101 @@ void add(std::vector<VerifyIssue>& out, VerifyIssue::Severity severity,
   out.push_back(VerifyIssue{severity, check, message});
 }
 
+using SegmentPair = std::pair<std::size_t, std::size_t>;
+
+/// Every pair (i, j), i < j, of segments sharing a track and a column,
+/// sorted. Sweeps the segments by span start; the live ones sit in a set
+/// keyed by track, so each segment probes only the tracks a segment of at
+/// most `max_width` tracks could share with it, dropping the ones whose
+/// span ended left of the sweep as it meets them. On a legal plan the
+/// live segments are track-disjoint and a probe visits O(width) of them.
+/// Needs every width ≥ 1 (a segment carries its net's pitch width).
+std::vector<SegmentPair> overlapping_pairs(
+    const std::vector<ChannelSegment>& segments) {
+  std::vector<std::size_t> order(segments.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return std::make_pair(segments[x].span.lo, x) <
+           std::make_pair(segments[y].span.lo, y);
+  });
+  std::int32_t max_width = 1;
+  for (const ChannelSegment& seg : segments) {
+    max_width = std::max(max_width, seg.width);
+  }
+  std::vector<SegmentPair> pairs;
+  std::set<std::pair<std::int32_t, std::size_t>> live;  // (track, index)
+  for (const std::size_t i : order) {
+    const ChannelSegment& a = segments[i];
+    for (auto it = live.lower_bound({a.track - max_width + 1, 0});
+         it != live.end() && it->first < a.track + a.width;) {
+      const ChannelSegment& b = segments[it->second];
+      if (b.span.hi < a.span.lo) {  // ended; no later segment reaches it
+        it = live.erase(it);
+        continue;
+      }
+      const bool tracks_overlap =
+          a.track < b.track + b.width && b.track < a.track + a.width;
+      if (tracks_overlap && a.span.overlaps(b.span)) {
+        pairs.emplace_back(std::min(i, it->second), std::max(i, it->second));
+      }
+      ++it;
+    }
+    live.emplace(a.track, i);
+  }
+  std::sort(pairs.begin(), pairs.end());  // each pair was found once
+  return pairs;
+}
+
 }  // namespace
 
+void check_channel_tracks(const Netlist& nl, std::int32_t channel,
+                          const ChannelPlan& plan,
+                          std::span<const ChannelTrunk> trunks,
+                          std::vector<VerifyIssue>& out) {
+  const std::vector<ChannelSegment>& segments = plan.segments;
+  // Track range and overlaps, interleaved per segment in plan order.
+  const std::vector<SegmentPair> pairs = overlapping_pairs(segments);
+  auto next_pair = pairs.begin();
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const ChannelSegment& a = segments[i];
+    if (a.track < 1 || a.track + a.width - 1 > plan.tracks) {
+      add(out, VerifyIssue::Severity::kError, "tracks",
+          "segment of net " + nl.net(a.net).name + " outside channel " +
+              std::to_string(channel));
+    }
+    for (; next_pair != pairs.end() && next_pair->first == i; ++next_pair) {
+      add(out, VerifyIssue::Severity::kError, "tracks",
+          "nets " + nl.net(a.net).name + " and " +
+              nl.net(segments[next_pair->second].net).name +
+              " overlap in channel " + std::to_string(channel));
+    }
+  }
+  // Coverage: a trunk needs a segment of its own net containing its span.
+  std::vector<std::size_t> by_net(segments.size());
+  std::iota(by_net.begin(), by_net.end(), std::size_t{0});
+  std::sort(by_net.begin(), by_net.end(), [&](std::size_t x, std::size_t y) {
+    return std::make_pair(segments[x].net, x) <
+           std::make_pair(segments[y].net, y);
+  });
+  for (const ChannelTrunk& trunk : trunks) {
+    auto it = std::lower_bound(
+        by_net.begin(), by_net.end(), trunk.net,
+        [&](std::size_t x, NetId net) { return segments[x].net < net; });
+    bool covered = false;
+    for (; !covered && it != by_net.end() && segments[*it].net == trunk.net;
+         ++it) {
+      covered = segments[*it].span.contains(trunk.span);
+    }
+    if (!covered) {
+      add(out, VerifyIssue::Severity::kError, "tracks",
+          "trunk of net " + nl.net(trunk.net).name + " in channel " +
+              std::to_string(channel) + " not covered by any segment");
+    }
+  }
+}
+
 std::vector<VerifyIssue> RouteVerifier::run() const {
+  ScopedSpan span("verify", "verify");
   std::vector<VerifyIssue> out;
   check_trees(out);
   check_geometry(out);
@@ -178,44 +276,24 @@ void RouteVerifier::check_differential(std::vector<VerifyIssue>& out) const {
 
 void RouteVerifier::check_tracks(std::vector<VerifyIssue>& out) const {
   const Netlist& nl = router_.analyzer().delay_graph().netlist();
+  // One pass buckets every trunk edge by channel, in net then edge order.
+  std::vector<std::vector<ChannelTrunk>> trunks(
+      static_cast<std::size_t>(channel_->channel_count()));
+  for (const NetId n : nl.nets()) {
+    const RoutingGraph& g = router_.net_graph(n);
+    for (const auto e : g.alive_edges()) {
+      const RouteEdgeInfo& info = g.edge_info(e);
+      if (!info.is_trunk() || info.channel < 0 ||
+          info.channel >= channel_->channel_count()) {
+        continue;
+      }
+      trunks[static_cast<std::size_t>(info.channel)].push_back(
+          ChannelTrunk{n, info.span});
+    }
+  }
   for (std::int32_t c = 0; c < channel_->channel_count(); ++c) {
-    const ChannelPlan& plan = channel_->plan(c);
-    // No overlaps.
-    for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-      const ChannelSegment& a = plan.segments[i];
-      if (a.track < 1 || a.track + a.width - 1 > plan.tracks) {
-        add(out, VerifyIssue::Severity::kError, "tracks",
-            "segment of net " + nl.net(a.net).name + " outside channel " +
-                std::to_string(c));
-      }
-      for (std::size_t j = i + 1; j < plan.segments.size(); ++j) {
-        const ChannelSegment& b = plan.segments[j];
-        const bool tracks_overlap =
-            a.track < b.track + b.width && b.track < a.track + a.width;
-        if (tracks_overlap && a.span.overlaps(b.span)) {
-          add(out, VerifyIssue::Severity::kError, "tracks",
-              "nets " + nl.net(a.net).name + " and " + nl.net(b.net).name +
-                  " overlap in channel " + std::to_string(c));
-        }
-      }
-    }
-    // Coverage of every trunk edge.
-    for (const NetId n : nl.nets()) {
-      const RoutingGraph& g = router_.net_graph(n);
-      for (const auto e : g.alive_edges()) {
-        const RouteEdgeInfo& info = g.edge_info(e);
-        if (!info.is_trunk() || info.channel != c) continue;
-        bool covered = false;
-        for (const ChannelSegment& seg : plan.segments) {
-          covered = covered || (seg.net == n && seg.span.contains(info.span));
-        }
-        if (!covered) {
-          add(out, VerifyIssue::Severity::kError, "tracks",
-              "trunk of net " + nl.net(n).name + " in channel " +
-                  std::to_string(c) + " not covered by any segment");
-        }
-      }
-    }
+    check_channel_tracks(nl, c, channel_->plan(c),
+                         trunks[static_cast<std::size_t>(c)], out);
   }
 }
 

@@ -2,7 +2,8 @@
 # Regression for the checked-choice CLI parses: a typo'd --path-search
 # engine must exit with the usage code (2) and the diagnostic must name
 # every registered engine, so the error doubles as documentation and a
-# newly added backend cannot be forgotten in the message.
+# newly added backend cannot be forgotten in the message. Also checks
+# that the usage text lists the output flags (--verify and friends).
 set -u
 
 cli="$1"
@@ -35,5 +36,17 @@ esac
 out=$("$cli" @C1P1 --path-search 2>&1)
 status=$?
 [ "$status" -eq 2 ] || fail "expected exit 2 for missing value, got $status"
+
+# --help documents every flag the parser accepts, the output flags
+# included, and exits 0.
+out=$("$cli" --help 2>&1)
+status=$?
+[ "$status" -eq 0 ] || fail "expected exit 0 for --help, got $status"
+for flag in --verify --stats --map --svg; do
+  case "$out" in
+    *"$flag"*) ;;
+    *) fail "usage does not list '$flag'" ;;
+  esac
+done
 
 echo "cli_errors: ok"

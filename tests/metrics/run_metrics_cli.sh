@@ -5,7 +5,9 @@
 #   - both run reports against the schema contract,
 #   - the trace file (valid JSON, ordered timestamps, strict per-thread
 #     span nesting),
-#   - bit-identical semantic sections across the two thread counts,
+#   - bit-identical semantic sections across the two thread counts (the
+#     second run also verifies, which adds only run.verify_seconds and a
+#     trace span),
 #   - that --log-format json is accepted.
 #
 # usage: run_metrics_cli.sh <path-to-bgr_route> <path-to-check_run_report.py>
@@ -22,9 +24,15 @@ trap 'rm -rf "$workdir"' EXIT
 
 "$bgr_route" "$design" --threads 1 --log-format json \
     --metrics-out "$workdir/run1.json" > "$workdir/out1.txt"
-"$bgr_route" "$design" --threads 8 \
+"$bgr_route" "$design" --threads 8 --verify \
     --metrics-out "$workdir/run8.json" --trace-out "$workdir/trace8.json" \
     > "$workdir/out8.txt"
+# Signoff runs before the artifacts are written: the report records its
+# wall time and the trace its span.
+grep -q '"verify_seconds"' "$workdir/run8.json" ||
+  { echo "run_metrics_cli: run report lacks run.verify_seconds" >&2; exit 1; }
+grep -q '"cat": *"verify"' "$workdir/trace8.json" ||
+  { echo "run_metrics_cli: trace lacks the verify span" >&2; exit 1; }
 
 "$python" "$checker" "$workdir/run1.json"
 "$python" "$checker" "$workdir/run8.json" --trace "$workdir/trace8.json" \

@@ -5,7 +5,8 @@
 #   - a seeded semantic regression (one counter bumped in a copy) makes
 #     the differ exit nonzero,
 #   - a seeded wall slowdown passes by default (warn-only) but fails
-#     under --wall-threshold.
+#     under --wall-threshold, also when it is the signoff time
+#     run.verify_seconds.
 #
 # usage: run_report_diff.sh <path-to-bgr_route> <path-to-bgr_report_diff.py>
 #        <path-to-golden-design> [python3]
@@ -73,6 +74,29 @@ EOF
 if "$python" "$differ" "$workdir/base.json" "$workdir/slow.json" \
     --wall-threshold 0.5 > /dev/null 2>&1; then
   echo "run_report_diff: FAIL: wall threshold not enforced" >&2
+  exit 1
+fi
+
+# The signoff time in "run" is a wall value too: a 10x slower
+# run.verify_seconds warns by default and fails under --wall-threshold,
+# while an unchanged one passes it.
+"$bgr_route" "$design" --threads 1 --verify \
+    --metrics-out "$workdir/verify.json" > /dev/null
+"$python" - "$workdir/verify.json" "$workdir/verify_slow.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+report["run"]["verify_seconds"] = 10 * report["run"]["verify_seconds"] + 1.0
+with open(sys.argv[2], "w") as f:
+    json.dump(report, f)
+EOF
+"$python" "$differ" "$workdir/verify.json" "$workdir/verify.json" \
+    --wall-threshold 0.5 > /dev/null
+"$python" "$differ" "$workdir/verify.json" "$workdir/verify_slow.json" \
+    > /dev/null
+if "$python" "$differ" "$workdir/verify.json" "$workdir/verify_slow.json" \
+    --wall-threshold 0.5 > /dev/null 2>&1; then
+  echo "run_report_diff: FAIL: verify_seconds not treated as wall" >&2
   exit 1
 fi
 

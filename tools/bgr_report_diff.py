@@ -4,9 +4,11 @@
 Semantic content — everything outside the "run" section, "wall"
 sub-objects, the nondeterministic metric scope and wall-derived scalar
 keys — must match exactly: any difference is a regression and exits 1.
-Wall-shaped values are compared with a relative threshold instead: by
-default they only warn (machines differ), with --wall-threshold they fail
-the diff when the new value is slower by more than the given fraction.
+Wall-shaped values, wherever they sit (the stripped sections included,
+e.g. "run/verify_seconds"), are compared with a relative threshold
+instead: by default they only warn (machines differ), with
+--wall-threshold they fail the diff when the new value is slower by more
+than the given fraction.
 
   bgr_report_diff.py baseline.json candidate.json
   bgr_report_diff.py baseline.json candidate.json --wall-threshold 0.25
@@ -54,15 +56,32 @@ def split_semantic(node):
     removed, and a flat {path: value} map of the numeric values removed."""
     walls = {}
 
+    def is_wall_value(key, value):
+        return is_wall_key(key) and isinstance(value, (int, float)) \
+            and not isinstance(value, bool)
+
+    def collect_walls(node, prefix):
+        """Keeps only the wall-shaped numbers of a stripped subtree."""
+        if isinstance(node, dict):
+            for key, value in node.items():
+                path = f"{prefix}/{key}"
+                if is_wall_value(key, value):
+                    walls[path] = value
+                else:
+                    collect_walls(value, path)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                collect_walls(v, f"{prefix}[{i}]")
+
     def walk(node, prefix):
         if isinstance(node, dict):
             out = {}
             for key, value in node.items():
                 path = f"{prefix}/{key}"
                 if key in STRIP_KEYS:
+                    collect_walls(value, path)
                     continue
-                if is_wall_key(key) and isinstance(value, (int, float)) \
-                        and not isinstance(value, bool):
+                if is_wall_value(key, value):
                     walls[path] = value
                     continue
                 out[key] = walk(value, path)

@@ -45,7 +45,9 @@
 //     --skew              print the multi-pitch clock skew report
 //     --map               render the chip map and congestion chart
 //     --svg FILE          draw the routed chip as an SVG
-//     --verify            run the signoff checks on the result
+//     --verify            run the signoff checks on the result (before
+//                         the artifacts are written; --metrics-out then
+//                         records run.verify_seconds)
 //     --stats             print design statistics
 //     --metrics-out FILE  write the machine-readable run report (JSON)
 //     --trace-out FILE    write a Chrome trace-event file of the run
@@ -56,6 +58,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,7 +89,8 @@ void usage(std::FILE* out) {
                "[--lookahead exact|map] [--min-capacity-search] "
                "[--threads N] "
                "[--repeat K] [--save-route FILE] [--save-design FILE] "
-               "[--skew] [--metrics-out FILE] [--trace-out FILE] "
+               "[--skew] [--map] [--svg FILE] [--verify] [--stats] "
+               "[--metrics-out FILE] [--trace-out FILE] "
                "[--log-format text|json] [--help]\n");
 }
 
@@ -353,12 +357,22 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Signoff runs before any artifact is written so the run report and
+    // the trace carry its cost; its findings print in their usual place.
+    std::vector<VerifyIssue> issues;
+    std::optional<double> verify_seconds;
+    if (run_verify) {
+      Stopwatch watch;
+      issues = RouteVerifier(*router, channel.get()).run();
+      verify_seconds = watch.seconds();
+    }
     if (!metrics_out_path.empty()) {
       RunReportInfo info;
       info.design = design->name;
       info.constrained = constrained;
       info.detailed_delay_ps = delay;
       info.wall_seconds = last_seconds;
+      info.verify_seconds = verify_seconds;
       make_run_report(*router, *channel, outcome, info).save(metrics_out_path);
       std::printf("run report written to %s\n", metrics_out_path.c_str());
     }
@@ -384,8 +398,6 @@ int main(int argc, char** argv) {
       print_stats(std::cout, collect_stats(*router, *channel));
     }
     if (run_verify) {
-      const RouteVerifier verifier(*router, channel.get());
-      const auto issues = verifier.run();
       if (issues.empty()) {
         std::printf("verify: clean (no findings)\n");
       }

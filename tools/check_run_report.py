@@ -6,7 +6,8 @@ Checks the layout contract documented in src/bgr/obs/run_report.hpp:
   check_run_report.py report.json
       Schema check: schema_version, kind, metrics split by scope; for
       kind "bgr_route" additionally the design/options/result/stats/
-      phases/run sections.
+      phases/run sections, and run.verify_seconds (the signoff wall
+      time, written when the run verified) a non-negative number.
 
   check_run_report.py report.json --trace trace.json
       Also validates the Chrome trace-event file: well-formed JSON, every
@@ -155,6 +156,14 @@ def check_report(report, path):
         for ph in report["phases"]:
             if "name" not in ph or "wall" not in ph:
                 fail(f"{path}: phase entry lacks name/wall: {ph}")
+        # Signoff wall time, present when the run verified (--verify).
+        verify_seconds = report["run"].get("verify_seconds")
+        if verify_seconds is not None and (
+                isinstance(verify_seconds, bool)
+                or not isinstance(verify_seconds, (int, float))
+                or verify_seconds < 0):
+            fail(f"{path}: run.verify_seconds must be a non-negative "
+                 f"number, got {verify_seconds!r}")
     if kind == "bench.scale":
         for section in SCALE_SECTIONS:
             if section not in report:
