@@ -24,8 +24,6 @@ CapacitySearchResult search_once(const CircuitSpec& spec) {
   Dataset design = generate_circuit(spec);
   MetricsRegistry::global().reset();
   RouterOptions options;
-  options.path_search = PathSearchBackend::kAstar;
-  options.lookahead = LookaheadMode::kMap;
   return min_capacity_search(design.netlist, design.placement, design.tech,
                              design.constraints, options);
 }

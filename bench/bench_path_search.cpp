@@ -1,12 +1,9 @@
-// Goal-oriented A* vs reference Dijkstra inside the tentative-tree loop:
-// routes the largest generated design once per configuration and reports
-// wall time, node pops and edge relaxations per search. All runs must
-// produce a bit-identical RouteOutcome (DESIGN.md §11 and §15's whole
-// claim), A* must pop at least 2x fewer nodes than Dijkstra, and the
-// map-lookahead run must amortize: zero per-graph exact heuristic builds,
-// exactly one chip-level table build, one derivation per heuristic that
-// the exact run had to Dijkstra for. Results land in
-// BENCH_path_search.json for trend tracking.
+// SearchCache cone repair vs reference Dijkstra inside the tentative-tree
+// loop: routes the largest generated design once per backend and reports
+// wall time, node pops and edge relaxations per search. Both runs must
+// produce a bit-identical RouteOutcome (DESIGN.md §11's whole claim), and
+// the cached backend must pop at least 2x fewer nodes than Dijkstra.
+// Results land in BENCH_path_search.json for trend tracking.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -14,7 +11,6 @@
 #include "bench_util.hpp"
 #include "bgr/common/stopwatch.hpp"
 #include "bgr/obs/metrics.hpp"
-#include "bgr/route/lookahead.hpp"
 #include "bgr/route/router.hpp"
 
 namespace {
@@ -23,42 +19,24 @@ using namespace bgr;
 
 struct SearchRun {
   PathSearchBackend backend = PathSearchBackend::kDijkstra;
-  LookaheadMode lookahead = LookaheadMode::kExact;
   double route_s = 0.0;
   std::int64_t searches = 0;
   std::int64_t pops = 0;
   std::int64_t relaxations = 0;
-  std::int64_t heuristic_builds = 0;
-  std::int64_t table_builds = 0;
-  std::int64_t derivations = 0;
   RouteOutcome outcome;
 };
 
-const char* run_name(const SearchRun& r) {
-  if (r.backend != PathSearchBackend::kAstar) return "dijkstra";
-  return r.lookahead == LookaheadMode::kMap ? "astar-map" : "astar";
-}
-
-std::int64_t counter_value(const char* name) {
-  return MetricsRegistry::global()
-      .counter(name, MetricScope::kSemantic)
-      .value();
-}
-
-SearchRun route_once(const CircuitSpec& spec, PathSearchBackend backend,
-                     LookaheadMode lookahead) {
+SearchRun route_once(const CircuitSpec& spec, PathSearchBackend backend) {
   Dataset design = generate_circuit(spec);  // fresh: routing mutates it
   // Reset the global registry so the metrics section emitted below
   // describes exactly one routed run, mirroring bgr_route --repeat.
   MetricsRegistry::global().reset();
   RouterOptions options;
   options.path_search = backend;
-  options.lookahead = lookahead;
   GlobalRouter router(design.netlist, std::move(design.placement), design.tech,
                       design.constraints, options);
   SearchRun run;
   run.backend = backend;
-  run.lookahead = lookahead;
   Stopwatch sw;
   run.outcome = router.run();
   run.route_s = sw.seconds();
@@ -67,16 +45,14 @@ SearchRun route_once(const CircuitSpec& spec, PathSearchBackend backend,
     run.pops += ph.path_pops;
     run.relaxations += ph.path_relaxations;
   }
-  run.heuristic_builds = counter_value("path.heuristic_builds");
-  run.table_builds = counter_value("lookahead.builds");
-  run.derivations = counter_value("lookahead.derivations");
   return run;
 }
 
 void print_run(const SearchRun& r) {
   std::printf("%-9s route %7.3fs  searches %8lld  pops %11lld "
               " relax %11lld  (%7.1f pops per search)\n",
-              run_name(r), r.route_s, static_cast<long long>(r.searches),
+              path_search_backend_name(r.backend), r.route_s,
+              static_cast<long long>(r.searches),
               static_cast<long long>(r.pops),
               static_cast<long long>(r.relaxations),
               r.searches > 0 ? static_cast<double>(r.pops) /
@@ -85,40 +61,35 @@ void print_run(const SearchRun& r) {
 }
 
 void emit_json(const CircuitSpec& spec, const std::vector<SearchRun>& runs,
-               double pop_ratio, bool identical, bool amortized) {
+               double pop_ratio, bool identical) {
   RunReport report("bench.path_search");
   report.section("design").set("name", spec.name);
   JsonValue& modes = report.section("modes");
   for (const SearchRun& r : runs) {
     JsonValue entry;
-    entry.set("backend", run_name(r));
+    entry.set("backend", path_search_backend_name(r.backend));
     entry.set("route_seconds", r.route_s);
     entry.set("searches", r.searches);
     entry.set("pops", r.pops);
     entry.set("relaxations", r.relaxations);
-    entry.set("heuristic_builds", r.heuristic_builds);
-    entry.set("lookahead_builds", r.table_builds);
-    entry.set("lookahead_derivations", r.derivations);
     entry.set("critical_delay_ps", r.outcome.critical_delay_ps);
     entry.set("total_length_um", r.outcome.total_length_um);
     modes.push_back(std::move(entry));
   }
   const SearchRun& dijkstra = runs[0];
-  const SearchRun& astar = runs[1];
+  const SearchRun& cached = runs[1];
   JsonValue& result = report.section("result");
   result.set("pop_ratio", pop_ratio);
   result.set("relaxation_ratio",
-             astar.relaxations > 0
+             cached.relaxations > 0
                  ? static_cast<double>(dijkstra.relaxations) /
-                       static_cast<double>(astar.relaxations)
+                       static_cast<double>(cached.relaxations)
                  : 0.0);
   result.set("wall_speedup",
-             astar.route_s > 0.0 ? dijkstra.route_s / astar.route_s : 0.0);
+             cached.route_s > 0.0 ? dijkstra.route_s / cached.route_s : 0.0);
   result.set("outcomes_identical", identical);
-  result.set("map_heuristic_amortized", amortized);
-  // The registry still holds the last (astar-map) run, so the
-  // bucket-occupancy histogram and path.*/lookahead.* counters describe
-  // it alone.
+  // The registry still holds the last (cached) run, so the path.*
+  // counters describe it alone.
   report.add_metrics(MetricsRegistry::global());
   bench::save_report(report, "BENCH_path_search.json");
 }
@@ -126,7 +97,8 @@ void emit_json(const CircuitSpec& spec, const std::vector<SearchRun>& runs,
 }  // namespace
 
 int main() {
-  bench::print_banner("path search: goal-oriented A* vs reference Dijkstra");
+  bench::print_banner(
+      "path search: SearchCache cone repair vs reference Dijkstra");
   bench::print_substitution_note();
   CircuitSpec spec = c3_spec();  // the largest generated preset
   {
@@ -137,57 +109,34 @@ int main() {
   }
 
   std::vector<SearchRun> runs;
-  runs.push_back(
-      route_once(spec, PathSearchBackend::kDijkstra, LookaheadMode::kExact));
-  runs.push_back(
-      route_once(spec, PathSearchBackend::kAstar, LookaheadMode::kExact));
-  runs.push_back(
-      route_once(spec, PathSearchBackend::kAstar, LookaheadMode::kMap));
+  runs.push_back(route_once(spec, PathSearchBackend::kDijkstra));
+  runs.push_back(route_once(spec, PathSearchBackend::kCached));
   const SearchRun& dijkstra = runs[0];
-  const SearchRun& astar = runs[1];
-  const SearchRun& map = runs[2];
+  const SearchRun& cached = runs[1];
   for (const SearchRun& r : runs) print_run(r);
 
-  bool identical = true;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    identical =
-        identical && bench::outcomes_identical(runs[0].outcome, runs[i].outcome);
-  }
+  const bool identical =
+      bench::outcomes_identical(dijkstra.outcome, cached.outcome);
   const double pop_ratio =
-      astar.pops > 0 ? static_cast<double>(dijkstra.pops) /
-                           static_cast<double>(astar.pops)
-                     : 0.0;
-  // Amortization: map mode never runs the per-graph exact Dijkstra, builds
-  // the chip table exactly once, and derives once per heuristic the exact
-  // run had to build.
-  const bool amortized = map.heuristic_builds == 0 && map.table_builds == 1 &&
-                         map.derivations == astar.heuristic_builds;
-  std::printf("\nnode pops: dijkstra %lld vs astar %lld (%.2fx fewer)\n",
+      cached.pops > 0 ? static_cast<double>(dijkstra.pops) /
+                            static_cast<double>(cached.pops)
+                      : 0.0;
+  std::printf("\nnode pops: dijkstra %lld vs cached %lld (%.2fx fewer)\n",
               static_cast<long long>(dijkstra.pops),
-              static_cast<long long>(astar.pops), pop_ratio);
+              static_cast<long long>(cached.pops), pop_ratio);
   std::printf("wall speedup: %.2fx\n",
-              astar.route_s > 0.0 ? dijkstra.route_s / astar.route_s : 0.0);
-  std::printf("map lookahead: %lld exact heuristic builds (want 0), "
-              "%lld table builds (want 1), %lld derivations "
-              "(exact run built %lld)\n",
-              static_cast<long long>(map.heuristic_builds),
-              static_cast<long long>(map.table_builds),
-              static_cast<long long>(map.derivations),
-              static_cast<long long>(astar.heuristic_builds));
-  std::printf(identical ? "outcome: bit-identical across all configurations\n"
-                        : "outcome: MISMATCH between configurations\n");
-  emit_json(spec, runs, pop_ratio, identical, amortized);
+              cached.route_s > 0.0 ? dijkstra.route_s / cached.route_s : 0.0);
+  std::printf(identical ? "outcome: bit-identical across backends\n"
+                        : "outcome: MISMATCH between backends\n");
+  emit_json(spec, runs, pop_ratio, identical);
 
   if (!identical) {
-    std::printf("FAIL: outcomes differ across configurations\n");
+    std::printf("FAIL: outcomes differ across backends\n");
     return 1;
   }
   if (pop_ratio < 2.0) {
-    std::printf("FAIL: expected >=2x fewer node pops with astar\n");
-    return 1;
-  }
-  if (!amortized) {
-    std::printf("FAIL: map lookahead did not amortize the heuristic builds\n");
+    std::printf("FAIL: expected >=2x fewer node pops with the cached "
+                "backend\n");
     return 1;
   }
   return 0;

@@ -3,7 +3,7 @@
 // and reports the delay/area front — total wirelength, worst margin,
 // violation count, wall time and the steiner.* construction counters.
 // Hard gates inside the binary:
-//   - astar must stay bit-identical to the reference Dijkstra on every
+//   - cached must stay bit-identical to the reference Dijkstra on every
 //     design (the §11 contract does not bend while a third engine exists);
 //   - the steiner run must margin-dominate the Dijkstra baseline per
 //     constraint within the shared fuzz tolerance
@@ -80,7 +80,7 @@ int main() {
 
   const std::vector<std::string> datasets = {"C1P1", "C2P1", "C3P1", "10k"};
   const PathSearchBackend backends[] = {PathSearchBackend::kDijkstra,
-                                        PathSearchBackend::kAstar,
+                                        PathSearchBackend::kCached,
                                         PathSearchBackend::kSteiner};
   const FuzzOptions tol_options;
 
@@ -98,11 +98,11 @@ int main() {
       print_run(dataset, runs.back());
     }
     const BackendRun& dijkstra = runs[0];
-    const BackendRun& astar = runs[1];
+    const BackendRun& cached = runs[1];
     const BackendRun& steiner = runs[2];
 
-    if (!bench::outcomes_identical(dijkstra.outcome, astar.outcome)) {
-      std::printf("%s: astar diverged from the reference dijkstra\n",
+    if (!bench::outcomes_identical(dijkstra.outcome, cached.outcome)) {
+      std::printf("%s: cached diverged from the reference dijkstra\n",
                   dataset.c_str());
       identical_ok = false;
     }
@@ -166,7 +166,7 @@ int main() {
   bench::save_report(report, "BENCH_steiner.json");
 
   if (!identical_ok) {
-    std::printf("FAIL: astar is no longer bit-identical to dijkstra\n");
+    std::printf("FAIL: cached is no longer bit-identical to dijkstra\n");
     return 1;
   }
   if (!dominance_ok) {
@@ -177,6 +177,6 @@ int main() {
     std::printf("FAIL: steiner.* semantic counters are not live\n");
     return 1;
   }
-  std::printf("steiner front clean: margins dominate, astar identical\n");
+  std::printf("steiner front clean: margins dominate, cached identical\n");
   return 0;
 }

@@ -187,7 +187,8 @@ std::string first_divergence(const PipelineResult& a,
       return "phase '" + pa.name + "' statistics";
     }
     // Pops and relaxations differ by construction between backends (that
-    // is A*'s whole point); compare them only when both runs used one.
+    // is the cache's whole point); compare them only when both runs used
+    // one.
     if (compare_path_effort &&
         (pa.path_searches != pb.path_searches ||
          pa.path_pops != pb.path_pops ||
@@ -212,7 +213,7 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
                                       const FuzzOptions& options) {
   PipelineResult serial;
   if (auto failure =
-          run_pipeline(spec, 1, PathSearchBackend::kAstar, &serial)) {
+          run_pipeline(spec, 1, PathSearchBackend::kCached, &serial)) {
     return failure;
   }
 
@@ -224,7 +225,7 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
     return failure;
   }
 
-  // Oracle: the goal-oriented A* backend must reproduce the reference
+  // Oracle: the cached (cone-repair) backend must reproduce the reference
   // Dijkstra pipeline bit for bit — outcome, margins, artifacts — with
   // only the search-effort counters allowed to differ.
   PipelineResult reference;
@@ -236,14 +237,14 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
       first_divergence(serial, reference, /*compare_path_effort=*/false);
   if (!backend_diverged.empty()) {
     return FuzzFailure{"backend-divergence",
-                       "astar vs dijkstra differ in " + backend_diverged};
+                       "cached vs dijkstra differ in " + backend_diverged};
   }
 
   // Oracle: the sharded deletion loop (DESIGN.md §13) must be bit-identical
   // to the unsharded serial greedy — outcome, margins, artifacts, and every
   // semantic phase statistic.
   PipelineResult unsharded;
-  if (auto failure = run_pipeline(spec, 1, PathSearchBackend::kAstar,
+  if (auto failure = run_pipeline(spec, 1, PathSearchBackend::kCached,
                                   &unsharded, /*shard_deletion=*/false)) {
     return failure;
   }
@@ -258,7 +259,7 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
   if (options.alt_threads > 1) {
     PipelineResult threaded;
     if (auto failure = run_pipeline(spec, options.alt_threads,
-                                    PathSearchBackend::kAstar, &threaded)) {
+                                    PathSearchBackend::kCached, &threaded)) {
       return failure;
     }
     const std::string diverged =

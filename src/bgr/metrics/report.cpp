@@ -119,8 +119,6 @@ RunReport make_run_report(const GlobalRouter& router,
   options.set("concurrent_initial", opt.concurrent_initial);
   options.set("incremental_sta", opt.incremental_sta);
   options.set("path_search", path_search_backend_name(opt.path_search));
-  options.set("lookahead",
-              opt.lookahead == LookaheadMode::kMap ? "map" : "exact");
   options.set("improvement_passes",
               static_cast<std::int64_t>(opt.improvement_passes));
 

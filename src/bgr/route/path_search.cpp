@@ -1,7 +1,6 @@
 #include "bgr/route/path_search.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "bgr/common/check.hpp"
 #include "bgr/exec/exec_context.hpp"
@@ -14,8 +13,8 @@ const char* path_search_backend_name(PathSearchBackend backend) {
   switch (backend) {
     case PathSearchBackend::kDijkstra:
       return "dijkstra";
-    case PathSearchBackend::kAstar:
-      return "astar";
+    case PathSearchBackend::kCached:
+      return "cached";
     case PathSearchBackend::kSteiner:
       return "steiner";
   }
@@ -27,7 +26,7 @@ namespace {
 /// Search-effort counters. Everything value-driven is semantic: the set of
 /// searches the router runs is a function of the design alone (a parallel
 /// re-key computes exactly the keys a serial one would), and each
-/// search's pop/relax/bucket counts are a function of the graph and the
+/// search's pop/relax counts are a function of the graph and the
 /// backend. Arena reuse/growth, by contrast, depends on which exec slot a
 /// chunk happens to land on — schedule-dependent, so nondeterministic.
 struct PathMetrics {
@@ -39,12 +38,6 @@ struct PathMetrics {
       "path.relaxations", MetricScope::kSemantic);
   Counter& queue_pushes = MetricsRegistry::global().counter(
       "path.queue_pushes", MetricScope::kSemantic);
-  Counter& buckets_touched = MetricsRegistry::global().counter(
-      "path.buckets_touched", MetricScope::kSemantic);
-  Histogram& bucket_occupancy = MetricsRegistry::global().histogram(
-      "path.bucket_occupancy", MetricScope::kSemantic);
-  Counter& heuristic_builds = MetricsRegistry::global().counter(
-      "path.heuristic_builds", MetricScope::kSemantic);
   Counter& cache_builds = MetricsRegistry::global().counter(
       "path.cache_builds", MetricScope::kSemantic);
   Counter& cache_hits = MetricsRegistry::global().counter(
@@ -82,85 +75,6 @@ HeapEntry heap_pop(std::vector<HeapEntry>& heap) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BucketQueue
-
-void BucketQueue::reset(double quantum) {
-  BGR_CHECK(quantum > 0.0);
-  for (const std::int64_t slot : dirty_) {
-    ring_[static_cast<std::size_t>(slot)].clear();
-  }
-  dirty_.clear();
-  quantum_ = quantum;
-  cursor_ = 0;
-  started_ = false;
-  size_ = 0;
-  pushes_ = 0;
-  touched_ = 0;
-}
-
-std::int64_t BucketQueue::key_for(double cost) const {
-  // llround is monotone in its argument, which is all the search needs:
-  // quantization may reorder costs *within* a bucket but never across an
-  // increasing pair of keys.
-  return std::llround(cost / quantum_);
-}
-
-void BucketQueue::grow(std::int64_t needed_span) {
-  std::size_t new_size = ring_.empty() ? 64 : ring_.size();
-  while (static_cast<std::int64_t>(new_size) < needed_span) new_size *= 2;
-  std::vector<std::vector<Entry>> fresh(new_size);
-  const std::size_t new_mask = new_size - 1;
-  for (std::vector<Entry>& old_bucket : ring_) {
-    for (const Entry& e : old_bucket) {
-      fresh[static_cast<std::size_t>(e.key) & new_mask].push_back(e);
-    }
-  }
-  ring_ = std::move(fresh);
-  dirty_.clear();
-  for (std::size_t s = 0; s < ring_.size(); ++s) {
-    if (!ring_[s].empty()) dirty_.push_back(static_cast<std::int64_t>(s));
-  }
-}
-
-void BucketQueue::push(std::int64_t key, std::int32_t vertex, double g) {
-  if (!started_) {
-    started_ = true;
-    cursor_ = key;
-  }
-  // A push below the cursor (possible after quantization of an admissible
-  // but bucket-inconsistent bound) lands in the current bucket; the exact
-  // g carried by the entry keeps the stale test — and thus the distances —
-  // exact regardless.
-  key = std::max(key, cursor_);
-  if (key - cursor_ >= static_cast<std::int64_t>(ring_.size())) {
-    grow(key - cursor_ + 1);
-  }
-  std::vector<Entry>& b = bucket(key);
-  if (b.empty()) {
-    dirty_.push_back(key & static_cast<std::int64_t>(ring_.size() - 1));
-    ++touched_;
-  }
-  b.push_back(Entry{vertex, g, key});
-  ++size_;
-  ++pushes_;
-}
-
-std::int64_t BucketQueue::current_key() {
-  BGR_CHECK_MSG(size_ > 0, "current_key() on an empty BucketQueue");
-  while (bucket(cursor_).empty()) ++cursor_;
-  return cursor_;
-}
-
-BucketQueue::Entry BucketQueue::pop() {
-  const std::int64_t key = current_key();
-  std::vector<Entry>& b = bucket(key);
-  const Entry e = b.back();
-  b.pop_back();
-  --size_;
-  return e;
-}
-
-// ---------------------------------------------------------------------------
 // PathSearchScratch
 
 bool PathSearchScratch::begin(std::int32_t vertex_count,
@@ -173,7 +87,7 @@ bool PathSearchScratch::begin(std::int32_t vertex_count,
     dist_.resize(vc, 0.0);
     parent_epoch_.resize(vc, 0);
     parent_.resize(vc, SmallGraph::kNone);
-    target_epoch_.resize(vc, 0);
+    cone_epoch_.resize(vc, 0);
     grew = true;
   }
   if (edge_epoch_.size() < ec) {
@@ -185,75 +99,11 @@ bool PathSearchScratch::begin(std::int32_t vertex_count,
     std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0u);
     std::fill(parent_epoch_.begin(), parent_epoch_.end(), 0u);
     std::fill(edge_epoch_.begin(), edge_epoch_.end(), 0u);
-    std::fill(target_epoch_.begin(), target_epoch_.end(), 0u);
+    std::fill(cone_epoch_.begin(), cone_epoch_.end(), 0u);
     epoch_ = 1;
   }
   heap_.clear();
   return !grew;
-}
-
-// ---------------------------------------------------------------------------
-// Goal heuristic
-
-GoalHeuristic build_goal_heuristic(const SmallGraph& graph,
-                                   std::int32_t source,
-                                   const std::vector<std::int32_t>& targets) {
-  path_metrics().heuristic_builds.add(1);
-  GoalHeuristic out;
-  const auto n = static_cast<std::size_t>(graph.vertex_count());
-  out.h.assign(n, PathSearchScratch::kInf);
-
-  // Multi-source Dijkstra from every non-driver terminal: h[v] becomes the
-  // exact distance to the nearest goal on the full (pre-deletion) graph.
-  std::vector<HeapEntry> heap;
-  for (const std::int32_t tv : targets) {
-    if (tv == source) continue;
-    if (out.h[static_cast<std::size_t>(tv)] == 0.0) continue;
-    out.h[static_cast<std::size_t>(tv)] = 0.0;
-    heap_push(heap, 0.0, tv);
-  }
-  while (!heap.empty()) {
-    const auto [d, v] = heap_pop(heap);
-    if (d > out.h[static_cast<std::size_t>(v)]) continue;
-    for (const std::int32_t e : graph.incident_edges(v)) {
-      const std::int32_t w = graph.other_end(e, v);
-      const double nd = d + graph.edge(e).weight;
-      if (nd < out.h[static_cast<std::size_t>(w)]) {
-        out.h[static_cast<std::size_t>(w)] = nd;
-        heap_push(heap, nd, w);
-      }
-    }
-  }
-
-  // Shave a relative epsilon so that the forward search's own summation
-  // order can never see g + h exceed the true path cost by an ULP: the
-  // bound must stay admissible bitwise, not just mathematically.
-  constexpr double kShave = 1.0 - 1e-9;
-  for (double& x : out.h) {
-    if (x != PathSearchScratch::kInf) x *= kShave;
-  }
-
-  out.quantum = heuristic_quantum(graph);
-  return out;
-}
-
-double heuristic_quantum(const SmallGraph& graph) {
-  // Bucket width: max(min positive weight, total/4096) bounds the live key
-  // span by ~4096 whatever the weight distribution (any path costs at most
-  // the total alive weight), while never splitting the smallest step across
-  // thousands of buckets.
-  double min_pos = PathSearchScratch::kInf;
-  double total = 0.0;
-  for (std::int32_t e = 0; e < graph.edge_count(); ++e) {
-    if (!graph.edge_alive(e)) continue;
-    const double w = graph.edge(e).weight;
-    total += w;
-    if (w > 0.0 && w < min_pos) min_pos = w;
-  }
-  if (min_pos == PathSearchScratch::kInf || min_pos <= 0.0) {
-    return 1.0;
-  }
-  return std::max(min_pos, total / 4096.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,75 +153,6 @@ void dijkstra_search(const SmallGraph& graph, std::int32_t source,
   }
 }
 
-/// Goal-oriented backend: label-correcting A* over the dial queue, keyed on
-/// the quantized f = g + h. Stops once every terminal is labeled and the
-/// queue has drained past the largest terminal key (plus a two-bucket slack
-/// absorbing quantization rounding) — at that point every vertex on any
-/// final-tight source→terminal path carries its final distance, which is
-/// all derive_tree reads (DESIGN.md §11 has the full argument).
-void astar_search(const SmallGraph& graph, const GoalHeuristic* heuristic,
-                  std::int32_t source,
-                  const std::vector<std::int32_t>& terminals,
-                  std::int32_t skip_edge, PathSearchScratch& scratch,
-                  SearchEffort& effort) {
-  BucketQueue& q = scratch.buckets();
-  q.reset(heuristic != nullptr ? heuristic->quantum : 1.0);
-  const auto h = [&](std::int32_t v) {
-    return heuristic != nullptr ? heuristic->h[static_cast<std::size_t>(v)]
-                                : 0.0;
-  };
-
-  std::int32_t remaining = 0;
-  for (const std::int32_t tv : terminals) {
-    if (tv == source || scratch.is_target(tv)) continue;
-    scratch.mark_target(tv);
-    ++remaining;
-  }
-
-  constexpr std::int64_t kDrainSlackBuckets = 2;
-  scratch.set_dist(source, 0.0);
-  q.push(q.key_for(h(source)), source, 0.0);
-  std::int64_t limit = 0;
-  bool limit_set = false;
-  while (!q.empty()) {
-    const std::int64_t key = q.current_key();
-    if (remaining == 0) {
-      if (!limit_set) {
-        // All terminals labeled: their labels only shrink from here, so
-        // this limit is a conservative (never too small) drain horizon.
-        limit = 0;
-        for (const std::int32_t tv : terminals) {
-          if (tv == source) continue;
-          limit = std::max(limit, q.key_for(scratch.dist(tv)));
-        }
-        limit += kDrainSlackBuckets;
-        limit_set = true;
-      }
-      if (key > limit) break;
-    }
-    const BucketQueue::Entry entry = q.pop();
-    ++effort.pops;
-    const double d = scratch.dist(entry.vertex);
-    if (entry.g != d) continue;  // stale entry (label improved since push)
-    for (const std::int32_t e : graph.incident_edges(entry.vertex)) {
-      if (e == skip_edge) continue;
-      const std::int32_t w = graph.other_end(e, entry.vertex);
-      const double nd = d + graph.edge(e).weight;
-      const double old = scratch.dist(w);
-      if (nd < old) {
-        scratch.set_dist(w, nd);
-        ++effort.relaxations;
-        if (old == PathSearchScratch::kInf && scratch.is_target(w)) {
-          --remaining;
-        }
-        q.push(q.key_for(nd + h(w)), w, nd);
-      }
-    }
-  }
-  effort.queue_pushes = q.pushes();
-  effort.buckets_touched = q.buckets_touched();
-}
-
 /// Derives the canonical tentative tree from the distance labels alone.
 ///
 /// Pass 1 resolves a canonical parent per vertex by a tight-edge Dijkstra:
@@ -379,12 +160,10 @@ void astar_search(const SmallGraph& graph, const GoalHeuristic* heuristic,
 /// expand their incident edges in adjacency (edge-insertion) order; an edge
 /// (v, w) is *tight* when dist[v] + weight == dist[w] bitwise, and the
 /// first tight expansion to reach an unresolved w fixes its parent. Every
-/// input that can influence a parent — the labels on final-tight paths to
-/// terminals, the pop order, the adjacency order — is backend-independent
-/// (labels off those paths may be stale under A*, but a stale label that
-/// passes the tight test against a final one is itself final, and any
-/// tight predecessor of a tree vertex lies on a final-tight terminal path,
-/// hence was drained), so both backends derive the identical tree.
+/// input that can influence a parent — the labels, the pop order, the
+/// adjacency order — is backend-independent (the cone repair reproduces
+/// the reference labels bit for bit), so both backends derive the
+/// identical tree.
 ///
 /// Pass 2 walks each terminal's parent chain in terminal order, emitting
 /// unmarked edges until it hits the source or an already-marked edge —
@@ -430,10 +209,7 @@ void derive_tree(const SmallGraph& graph, std::int32_t source,
 
 }  // namespace
 
-SearchEffort path_search_tree(const SmallGraph& graph,
-                              PathSearchBackend backend,
-                              const GoalHeuristic* heuristic,
-                              std::int32_t source,
+SearchEffort path_search_tree(const SmallGraph& graph, std::int32_t source,
                               const std::vector<std::int32_t>& terminals,
                               std::int32_t skip_edge,
                               PathSearchScratch& scratch,
@@ -447,25 +223,13 @@ SearchEffort path_search_tree(const SmallGraph& graph,
     metrics.scratch_grows.add(1);
   }
 
-  if (backend == PathSearchBackend::kAstar) {
-    astar_search(graph, heuristic, source, terminals, skip_edge, scratch,
-                 effort);
-  } else {
-    dijkstra_search(graph, source, skip_edge, scratch, effort);
-  }
+  dijkstra_search(graph, source, skip_edge, scratch, effort);
   derive_tree(graph, source, terminals, skip_edge, scratch, out);
 
   metrics.searches.add(1);
   metrics.pops.add(effort.pops);
   metrics.relaxations.add(effort.relaxations);
   metrics.queue_pushes.add(effort.queue_pushes);
-  if (backend == PathSearchBackend::kAstar) {
-    metrics.buckets_touched.add(effort.buckets_touched);
-    if (effort.buckets_touched > 0) {
-      metrics.bucket_occupancy.record(effort.queue_pushes /
-                                      effort.buckets_touched);
-    }
-  }
   return effort;
 }
 
@@ -490,8 +254,7 @@ namespace {
 /// Returns true when the cached tree can be returned verbatim: the cone
 /// is empty (no label changed) and skip_edge is not a canonical tree edge
 /// (no parent choice involved it). Otherwise the caller must run
-/// derive_tree over the repaired labels. Target stamps in `scratch` are
-/// reused as cone marks, so this epoch must not also run astar_search.
+/// derive_tree over the repaired labels.
 bool repair_with_cache(const SmallGraph& graph, const SearchCache& cache,
                        std::int32_t skip_edge, PathSearchScratch& scratch,
                        SearchEffort& effort) {
@@ -508,7 +271,7 @@ bool repair_with_cache(const SmallGraph& graph, const SearchCache& cache,
       if (e == skip_edge) continue;
       const std::int32_t x = graph.other_end(e, v);
       const std::int32_t sx = cache.seq[static_cast<std::size_t>(x)];
-      if (sx < 0 || sx >= sv || scratch.is_target(x)) continue;
+      if (sx < 0 || sx >= sv || scratch.in_cone(x)) continue;
       if (cache.dist[static_cast<std::size_t>(x)] + graph.edge(e).weight ==
           dv) {
         safe = true;
@@ -516,7 +279,7 @@ bool repair_with_cache(const SmallGraph& graph, const SearchCache& cache,
       }
     }
     if (!safe) {
-      scratch.mark_target(v);
+      scratch.mark_cone(v);
       cone.push_back(v);
     }
   }
@@ -530,7 +293,7 @@ bool repair_with_cache(const SmallGraph& graph, const SearchCache& cache,
   // (relaxing into a non-cone vertex could never improve it: deletion only
   // lengthens distances, and its cached label is already the no-skip min).
   for (const std::int32_t v : cache.settle_order) {
-    if (!scratch.is_target(v)) {
+    if (!scratch.in_cone(v)) {
       scratch.set_dist(v, cache.dist[static_cast<std::size_t>(v)]);
     }
   }
@@ -540,7 +303,7 @@ bool repair_with_cache(const SmallGraph& graph, const SearchCache& cache,
     for (const std::int32_t e : graph.incident_edges(v)) {
       if (e == skip_edge) continue;
       const std::int32_t x = graph.other_end(e, v);
-      if (cache.seq[static_cast<std::size_t>(x)] < 0 || scratch.is_target(x)) {
+      if (cache.seq[static_cast<std::size_t>(x)] < 0 || scratch.in_cone(x)) {
         continue;
       }
       const double nd =
@@ -561,7 +324,7 @@ bool repair_with_cache(const SmallGraph& graph, const SearchCache& cache,
     for (const std::int32_t e : graph.incident_edges(v)) {
       if (e == skip_edge) continue;
       const std::int32_t w = graph.other_end(e, v);
-      if (!scratch.is_target(w)) continue;  // only cone labels can change
+      if (!scratch.in_cone(w)) continue;  // only cone labels can change
       const double nd = d + graph.edge(e).weight;
       if (nd < scratch.dist(w)) {
         scratch.set_dist(w, nd);
@@ -595,7 +358,6 @@ void PathSearchEngine::refresh_cache(const SmallGraph& graph,
                                      std::int32_t source,
                                      const std::vector<std::int32_t>& terminals,
                                      SearchCache* cache,
-                                     const GoalHeuristic* heuristic,
                                      const std::vector<double>* sink_weights) {
   const std::int32_t slot = exec_ != nullptr ? exec_->current_slot() : 0;
   BGR_CHECK(slot >= 0 &&
@@ -609,12 +371,11 @@ void PathSearchEngine::refresh_cache(const SmallGraph& graph,
     // Cone repair is unsound for greedy construction (a deleted edge can
     // reshape every later attachment), so the cache memoizes only the
     // no-skip tree built with the *live* query configuration — the same
-    // heuristic and weights tentative_tree would pass. The Dijkstra labels
-    // and settle sequence stay empty; skip queries rebuild from scratch.
-    if (heuristic != nullptr && heuristic->h.empty()) heuristic = nullptr;
-    const SearchEffort steiner_effort = steiner_tree_search(
-        graph, heuristic, source, terminals, sink_weights, SmallGraph::kNone,
-        &cache->tree);
+    // weights tentative_tree would pass. The Dijkstra labels and settle
+    // sequence stay empty; skip queries rebuild from scratch.
+    const SearchEffort steiner_effort =
+        steiner_tree_search(graph, source, terminals, sink_weights,
+                            SmallGraph::kNone, &cache->tree);
     cache->dist.clear();
     cache->seq.clear();
     cache->settle_order.clear();
@@ -661,7 +422,6 @@ void PathSearchEngine::refresh_cache(const SmallGraph& graph,
 }
 
 void PathSearchEngine::tentative_tree(const SmallGraph& graph,
-                                      const GoalHeuristic* heuristic,
                                       const SearchCache* cache,
                                       std::int32_t source,
                                       const std::vector<std::int32_t>& terminals,
@@ -682,10 +442,8 @@ void PathSearchEngine::tentative_tree(const SmallGraph& graph,
       note_steiner_cache_hit();
       return;
     }
-    const GoalHeuristic* h =
-        heuristic != nullptr && !heuristic->h.empty() ? heuristic : nullptr;
     const SearchEffort effort = steiner_tree_search(
-        graph, h, source, terminals, sink_weights, skip_edge, out);
+        graph, source, terminals, sink_weights, skip_edge, out);
     metrics.pops.add(effort.pops);
     metrics.relaxations.add(effort.relaxations);
     metrics.queue_pushes.add(effort.queue_pushes);
@@ -694,7 +452,7 @@ void PathSearchEngine::tentative_tree(const SmallGraph& graph,
     return;
   }
 
-  if (backend_ == PathSearchBackend::kAstar && cache != nullptr &&
+  if (backend_ == PathSearchBackend::kCached && cache != nullptr &&
       cache->valid) {
     BGR_CHECK(cache->dist.size() ==
                   static_cast<std::size_t>(graph.vertex_count()) &&
@@ -729,11 +487,9 @@ void PathSearchEngine::tentative_tree(const SmallGraph& graph,
     return;
   }
 
-  const GoalHeuristic* h =
-      backend_ == PathSearchBackend::kAstar ? heuristic : nullptr;
-  const SearchEffort effort = path_search_tree(
-      graph, backend_, h, source, terminals, skip_edge,
-      *scratch_[static_cast<std::size_t>(slot)], out);
+  const SearchEffort effort =
+      path_search_tree(graph, source, terminals, skip_edge,
+                       *scratch_[static_cast<std::size_t>(slot)], out);
   pops_.fetch_add(effort.pops, std::memory_order_relaxed);
   relaxations_.fetch_add(effort.relaxations, std::memory_order_relaxed);
 }

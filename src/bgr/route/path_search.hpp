@@ -16,14 +16,14 @@ class ExecContext;
 /// Backend of the tentative-tree path search (see DESIGN.md §11).
 ///
 /// kDijkstra is the reference: the same binary-heap label-setting search
-/// the router has always run, settling the whole alive component.
-/// kAstar is goal-oriented: an admissible future-cost lower bound steers
-/// the search toward the net's terminals through a monotone bucket (dial)
-/// queue, settling only the corridor around the shortest-path tree. Both
-/// backends reach the identical distance fixpoint on every vertex they
-/// both settle, and the tree is derived from distances alone (see
-/// derive_tree), so the resulting tentative trees — and therefore every
-/// score, every deletion and the final RouteOutcome — are bit-identical.
+/// the router has always run, settling the whole alive component, once
+/// per query. kCached runs that reference search once per graph state
+/// into a SearchCache and answers each skip-edge query by repairing only
+/// the skipped edge's dependency cone. The cone repair reproduces the
+/// reference labels bit for bit, and the tree is derived from distances
+/// alone (see derive_tree), so the resulting tentative trees — and
+/// therefore every score, every deletion and the final RouteOutcome — are
+/// bit-identical.
 /// kSteiner is the cost-distance tree construction (DESIGN.md §16): it
 /// greedily merges sink paths under cost(T) + Σ_s w_s · dist_T(root, s)
 /// with per-sink weights derived from constraint slack. It is the one
@@ -31,105 +31,16 @@ class ExecContext;
 /// correctness contract is "deterministic, verifier-clean and
 /// margin-dominant", enforced by the test_steiner oracle battery rather
 /// than bit-identity with Dijkstra.
-enum class PathSearchBackend { kDijkstra, kAstar, kSteiner };
+enum class PathSearchBackend { kDijkstra, kCached, kSteiner };
 
 /// Canonical CLI/serve/report spelling of a backend.
 [[nodiscard]] const char* path_search_backend_name(PathSearchBackend backend);
 
-/// Per-net goal-oriented lower bound: h[v] = exact shortest distance from
-/// v to the nearest non-driver terminal, computed once per routing graph
-/// by a multi-source Dijkstra over the freshly built (full) graph, then
-/// shaved by a relative epsilon. Edge deletion only lengthens distances,
-/// so the build-time bound stays admissible for every later search and
-/// every `skip_edge` evaluation; the shave absorbs the ULP-level
-/// discrepancy between the backward summation order used here and the
-/// forward order of the live search (DESIGN.md §11 quantifies it).
-struct GoalHeuristic {
-  std::vector<double> h;  // per vertex; 0 at targets, +inf if disconnected
-  /// Bucket width of the dial queue for this graph: max(smallest positive
-  /// edge weight, total edge weight / 4096) — coarse enough to bound the
-  /// bucket count, fine enough that a bucket never spans more than one
-  /// "interesting" cost step (see BucketQueue).
-  double quantum = 1.0;
-};
-
-/// Builds the lower bound for searches from `source` (the net's driver)
-/// toward `targets` (all terminal vertices; the source entry is skipped).
-[[nodiscard]] GoalHeuristic build_goal_heuristic(
-    const SmallGraph& graph, std::int32_t source,
-    const std::vector<std::int32_t>& targets);
-
-/// The dial-queue bucket width for a graph: max(smallest positive alive
-/// edge weight, total alive weight / 4096). Shared by every heuristic
-/// source (the exact per-graph build and the chip-level lookahead
-/// derivation), so the backend quantizes identically whichever produced
-/// the bound.
-[[nodiscard]] double heuristic_quantum(const SmallGraph& graph);
-
-/// Monotone bucket ("dial") queue over quantized non-negative costs.
-/// Entries carry their exact float key owner-side; the queue only orders
-/// the integer buckets, so within one bucket order is LIFO. Pushes below
-/// the cursor clamp to the cursor bucket — together with the caller's
-/// stale-entry test this makes the search label-correcting, which is what
-/// lets an (admissible, not necessarily consistent-after-quantization)
-/// bound stay exact. Storage is a wraparound ring sized to the largest
-/// key span seen, grown on demand, so memory is bounded by the quantized
-/// maximum edge weight rather than the path length.
-class BucketQueue {
- public:
-  struct Entry {
-    std::int32_t vertex = -1;
-    double g = 0.0;        // exact path cost at push time (stale test key)
-    std::int64_t key = 0;  // bucket key, kept so grow() can rehash the ring
-  };
-
-  /// Clears the queue and sets the bucket width for the coming search.
-  void reset(double quantum);
-
-  /// Monotone quantization of an exact cost into a bucket key.
-  [[nodiscard]] std::int64_t key_for(double cost) const;
-
-  /// Enqueues (vertex, g) into bucket max(key, cursor).
-  void push(std::int64_t key, std::int32_t vertex, double g);
-
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::int64_t size() const { return size_; }
-
-  /// Key of the next non-empty bucket (advances the cursor to it).
-  /// Requires !empty().
-  [[nodiscard]] std::int64_t current_key();
-
-  /// Pops one entry from the current bucket. Requires !empty().
-  [[nodiscard]] Entry pop();
-
-  /// Lifetime totals since reset(), for the effort metrics.
-  [[nodiscard]] std::int64_t pushes() const { return pushes_; }
-  [[nodiscard]] std::int64_t buckets_touched() const { return touched_; }
-  [[nodiscard]] std::int64_t ring_size() const {
-    return static_cast<std::int64_t>(ring_.size());
-  }
-
- private:
-  void grow(std::int64_t needed_span);
-  [[nodiscard]] std::vector<Entry>& bucket(std::int64_t key) {
-    return ring_[static_cast<std::size_t>(key) & (ring_.size() - 1)];
-  }
-
-  std::vector<std::vector<Entry>> ring_;  // size is a power of two
-  std::vector<std::int64_t> dirty_;       // ring slots to clear on reset()
-  double quantum_ = 1.0;
-  std::int64_t cursor_ = 0;  // all live keys are in [cursor_, cursor_+span)
-  bool started_ = false;     // cursor_ is meaningless until the first push
-  std::int64_t size_ = 0;
-  std::int64_t pushes_ = 0;
-  std::int64_t touched_ = 0;
-};
-
 /// Arena-reused per-search state: epoch-stamped distance labels, the
-/// canonical parent tree, tree-walk edge marks, and the queue storage
-/// (bucket ring or binary heap). One instance serves one thread; begin()
-/// bumps the epoch instead of reallocating, so steady-state searches do
-/// no allocation at all.
+/// canonical parent tree, tree-walk edge marks, cone marks and the heap
+/// storage. One instance serves one thread; begin() bumps the epoch
+/// instead of reallocating, so steady-state searches do no allocation at
+/// all.
 class PathSearchScratch {
  public:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -166,16 +77,16 @@ class PathSearchScratch {
     edge_epoch_[static_cast<std::size_t>(e)] = epoch_;
   }
 
-  /// Goal flags for the A* termination test (stamped like the labels).
-  [[nodiscard]] bool is_target(std::int32_t v) const {
-    return target_epoch_[static_cast<std::size_t>(v)] == epoch_;
+  /// Dependency-cone membership for the cache repair (stamped like the
+  /// labels).
+  [[nodiscard]] bool in_cone(std::int32_t v) const {
+    return cone_epoch_[static_cast<std::size_t>(v)] == epoch_;
   }
-  void mark_target(std::int32_t v) {
-    target_epoch_[static_cast<std::size_t>(v)] = epoch_;
+  void mark_cone(std::int32_t v) {
+    cone_epoch_[static_cast<std::size_t>(v)] = epoch_;
   }
 
-  [[nodiscard]] BucketQueue& buckets() { return buckets_; }
-  /// Binary-heap storage for the Dijkstra backend and the tree derivation.
+  /// Binary-heap storage for the searches and the tree derivation.
   [[nodiscard]] std::vector<std::pair<double, std::int32_t>>& heap() {
     return heap_;
   }
@@ -189,8 +100,7 @@ class PathSearchScratch {
   std::vector<std::uint32_t> parent_epoch_;
   std::vector<std::int32_t> parent_;
   std::vector<std::uint32_t> edge_epoch_;
-  std::vector<std::uint32_t> target_epoch_;
-  BucketQueue buckets_;
+  std::vector<std::uint32_t> cone_epoch_;
   std::vector<std::pair<double, std::int32_t>> heap_;
   std::vector<std::int32_t> list_;
 };
@@ -200,21 +110,14 @@ class PathSearchScratch {
 struct SearchEffort {
   std::int64_t pops = 0;         // queue extractions, stale included
   std::int64_t relaxations = 0;  // successful distance improvements
-  std::int64_t buckets_touched = 0;  // A* only
   std::int64_t queue_pushes = 0;
 };
 
-/// Runs one search from `source` and emits the tentative-tree edges (the
-/// union of canonical shortest source→terminal paths) into `out`, walking
-/// `terminals` in order. `skip_edge` >= 0 is treated as deleted. The
-/// heuristic may be null (forced for the Dijkstra backend); with a
-/// heuristic the A* search stops once every terminal's bucket has
-/// provably drained (DESIGN.md §11 gives the argument for why the tree
-/// region then carries final distances).
-SearchEffort path_search_tree(const SmallGraph& graph,
-                              PathSearchBackend backend,
-                              const GoalHeuristic* heuristic,
-                              std::int32_t source,
+/// Runs one reference Dijkstra search from `source` and emits the
+/// tentative-tree edges (the union of canonical shortest source→terminal
+/// paths) into `out`, walking `terminals` in order. `skip_edge` >= 0 is
+/// treated as deleted.
+SearchEffort path_search_tree(const SmallGraph& graph, std::int32_t source,
                               const std::vector<std::int32_t>& terminals,
                               std::int32_t skip_edge,
                               PathSearchScratch& scratch,
@@ -281,28 +184,25 @@ class PathSearchEngine {
   /// totals, but it is not counted as a search: `searches` stays the query
   /// count, identical across backends. The Steiner backend memoizes its
   /// no-skip tree instead (built with exactly the live query
-  /// configuration: same heuristic, same sink weights), leaving
+  /// configuration: same sink weights), leaving
   /// dist/seq/settle_order empty — cone repair is unsound for it, so
   /// skip-edge queries always run a full construction.
   void refresh_cache(const SmallGraph& graph, std::int32_t source,
                      const std::vector<std::int32_t>& terminals,
                      SearchCache* cache,
-                     const GoalHeuristic* heuristic = nullptr,
                      const std::vector<double>* sink_weights = nullptr);
 
   /// Runs one tentative-tree search using the calling thread's scratch.
-  /// `heuristic` is ignored by the Dijkstra backend and may be null for
-  /// A* (which then degrades to h = 0, plain Dijkstra in a dial queue) and
-  /// for Steiner (full searches, no pruning). `cache` may be null; a valid
-  /// cache lets the goal-oriented backend answer the query from the cached
-  /// labels (cone repair) instead of a full search — bit-identically, see
-  /// SearchCache — and lets the Steiner backend return its memoized
-  /// no-skip tree. The reference backend never consults it.
+  /// `cache` may be null; a valid cache lets the cached backend answer the
+  /// query from the cached labels (cone repair) instead of a full search —
+  /// bit-identically, see SearchCache — and lets the Steiner backend return
+  /// its memoized no-skip tree. Without a valid cache the cached backend
+  /// runs the reference search. The Dijkstra backend never consults it.
   /// `sink_weights` (Steiner only) aligns index-for-index with
   /// `terminals`; null or empty means w = 0 everywhere (pure length
   /// minimization).
-  void tentative_tree(const SmallGraph& graph, const GoalHeuristic* heuristic,
-                      const SearchCache* cache, std::int32_t source,
+  void tentative_tree(const SmallGraph& graph, const SearchCache* cache,
+                      std::int32_t source,
                       const std::vector<std::int32_t>& terminals,
                       std::int32_t skip_edge,
                       std::vector<std::int32_t>* out,

@@ -79,28 +79,10 @@ GlobalRouter::GlobalRouter(Netlist& netlist, Placement placement,
                                            : options.threads)),
       path_engine_(std::make_unique<PathSearchEngine>(options.path_search,
                                                       exec_.get())) {
-  // The chip-level lookahead table is a pure function of the row geometry
-  // (columns may widen during routing; rows never change), so one build in
-  // the constructor serves every graph of every phase. Serve passes a
-  // cached table in; standalone runs build their own here.
-  register_lookahead_metrics();
   register_steiner_metrics();
-  if (options_.lookahead == LookaheadMode::kMap &&
-      (options_.path_search == PathSearchBackend::kAstar ||
-       options_.path_search == PathSearchBackend::kSteiner) &&
-      options_.lookahead_table == nullptr) {
-    options_.lookahead_table =
-        std::make_shared<const ChipLookahead>(placement_.row_count(), tech_);
-  }
 }
 
 GlobalRouter::~GlobalRouter() = default;
-
-const ChipLookahead* GlobalRouter::graph_lookahead() const {
-  return options_.lookahead == LookaheadMode::kMap
-             ? options_.lookahead_table.get()
-             : nullptr;
-}
 
 const RoutingGraph& GlobalRouter::net_graph(NetId net) const {
   const auto& g = graphs_.at(net);
@@ -158,12 +140,10 @@ void GlobalRouter::build_all_graphs() {
           graphs_[n] = std::make_unique<RoutingGraph>(netlist_, placement_,
                                                       tech_, *assignment_, n);
         }
-        // Attach inside the region so the A* goal heuristics (one exact
-        // multi-source Dijkstra per net, or the O(terminals) lookahead
-        // derivation) also build concurrently.
+        // Attach inside the region so the search caches (one reference
+        // search per net) also build concurrently.
         const std::vector<double> weights = sink_weights_for(n);
-        graphs_[n]->set_path_search(path_engine_.get(), graph_lookahead(),
-                                    &weights);
+        graphs_[n]->set_path_search(path_engine_.get(), &weights);
       },
       /*grain=*/1);
   for (const NetId n : netlist_.nets()) {
@@ -862,8 +842,7 @@ void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
           netlist_, placement_, tech_, *assignment_, member, net, 1);
     }
     const std::vector<double> weights = sink_weights_for(member);
-    graphs_[member]->set_path_search(path_engine_.get(), graph_lookahead(),
-                                     &weights);
+    graphs_[member]->set_path_search(path_engine_.get(), &weights);
     route_metrics().graphs_built.add(1);
     route_metrics().graph_edges.record(graphs_[member]->graph().edge_count());
     register_graph_density(member);

@@ -13,7 +13,6 @@
 #include "bgr/route/assign.hpp"
 #include "bgr/route/criteria.hpp"
 #include "bgr/route/density.hpp"
-#include "bgr/route/lookahead.hpp"
 #include "bgr/route/routing_graph.hpp"
 #include "bgr/route/shard.hpp"
 #include "bgr/timing/analyzer.hpp"
@@ -73,26 +72,17 @@ struct RouterOptions {
   /// the RouteOutcome — are bit-identical either way; `false` keeps the
   /// full re-sweeps of the original implementation.
   bool incremental_sta = true;
-  /// Tentative-tree path search backend (DESIGN.md §11): the goal-oriented
-  /// A* dial-queue search (default) or the reference binary-heap Dijkstra.
-  /// Both reach the same distance fixpoint and the tree is derived from
-  /// distances alone, so the RouteOutcome is bit-identical either way —
-  /// A* just settles far fewer vertices per candidate evaluation. The
-  /// third backend, kSteiner, builds cost-distance trees (DESIGN.md §16)
-  /// and is *allowed* to produce a different RouteOutcome: its contract is
-  /// deterministic, verifier-clean and margin-dominant vs the Dijkstra
-  /// baseline, enforced by the test_steiner oracle battery.
-  PathSearchBackend path_search = PathSearchBackend::kAstar;
-  /// Source of the A* lower bounds (DESIGN.md §15): the exact per-graph
-  /// multi-source Dijkstra (default) or derivation from the chip-level
-  /// ChipLookahead table, built once per design and shared by every
-  /// routing graph. Both bounds are admissible, so the RouteOutcome is
-  /// bit-identical either way; kMap removes the per-graph build cost.
-  /// Ignored by the Dijkstra backend (no bounds are used at all).
-  LookaheadMode lookahead = LookaheadMode::kExact;
-  /// Pre-built lookahead table for kMap (serve: cached per design). Null
-  /// lets the router build its own from the placement it routes.
-  std::shared_ptr<const ChipLookahead> lookahead_table;
+  /// Tentative-tree path search backend (DESIGN.md §11): the reference
+  /// Dijkstra plus SearchCache cone repair (default) or the reference
+  /// binary-heap Dijkstra alone. The cone repair reproduces the reference
+  /// labels bit for bit and the tree is derived from distances alone, so
+  /// the RouteOutcome is bit-identical either way — the cache just
+  /// re-searches only the skipped edge's dependency cone per candidate
+  /// evaluation. The third backend, kSteiner, builds cost-distance trees
+  /// (DESIGN.md §16) and is *allowed* to produce a different RouteOutcome:
+  /// its contract is deterministic, verifier-clean and margin-dominant vs
+  /// the Dijkstra baseline, enforced by the test_steiner oracle battery.
+  PathSearchBackend path_search = PathSearchBackend::kCached;
   /// Test hook: called for every committed edge deletion (differential
   /// pairs fire once, for the primary), in the canonical serial commit
   /// order. When the sharded loop is active the calls are replayed after
@@ -235,9 +225,6 @@ class GlobalRouter {
   /// (empty unless the steiner backend is active), sized to the graph's
   /// terminal list from net_sink_weight_.
   [[nodiscard]] std::vector<double> sink_weights_for(NetId net) const;
-  /// The table graphs derive their A* bounds from, or null in kExact mode
-  /// (each graph then runs its own multi-source Dijkstra build).
-  [[nodiscard]] const ChipLookahead* graph_lookahead() const;
   void register_graph_density(NetId net);
   void unregister_graph_density(NetId net);
   void refresh_net_estimate(NetId net,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "bgr/route/lookahead.hpp"
 #include "bgr/route/net_span.hpp"
 
 namespace bgr {
@@ -201,10 +200,9 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e) {
   // answers skip-edge queries against. delete_edge runs only at serial
   // commit points, so no scorer is reading the cache concurrently.
   if (path_engine_ != nullptr &&
-      (path_engine_->backend() == PathSearchBackend::kAstar ||
-       path_engine_->backend() == PathSearchBackend::kSteiner)) {
+      path_engine_->backend() != PathSearchBackend::kDijkstra) {
     path_engine_->refresh_cache(graph_, driver_vertex_, terminal_vertices_,
-                                &search_cache_, &heuristic_, &sink_weights_);
+                                &search_cache_, &sink_weights_);
   }
   return result;
 }
@@ -241,24 +239,16 @@ double RoutingGraph::estimated_length_um(std::int32_t skip_edge) const {
 }
 
 void RoutingGraph::set_path_search(PathSearchEngine* engine,
-                                   const ChipLookahead* lookahead,
                                    const std::vector<double>* sink_weights) {
   path_engine_ = engine;
-  if (engine != nullptr &&
-      (engine->backend() == PathSearchBackend::kAstar ||
-       engine->backend() == PathSearchBackend::kSteiner)) {
-    heuristic_ =
-        lookahead != nullptr
-            ? lookahead->derive(graph_, vertices_, driver_vertex_,
-                                terminal_vertices_)
-            : build_goal_heuristic(graph_, driver_vertex_, terminal_vertices_);
+  if (engine != nullptr && engine->backend() != PathSearchBackend::kDijkstra) {
     sink_weights_.clear();
     if (sink_weights != nullptr &&
         engine->backend() == PathSearchBackend::kSteiner) {
       sink_weights_ = *sink_weights;
     }
     engine->refresh_cache(graph_, driver_vertex_, terminal_vertices_,
-                          &search_cache_, &heuristic_, &sink_weights_);
+                          &search_cache_, &sink_weights_);
   }
 }
 
@@ -266,17 +256,16 @@ std::vector<std::int32_t> RoutingGraph::tentative_tree_edges(
     std::int32_t skip_edge) const {
   std::vector<std::int32_t> out;
   if (path_engine_ != nullptr) {
-    path_engine_->tentative_tree(graph_, &heuristic_, &search_cache_,
-                                 driver_vertex_, terminal_vertices_, skip_edge,
-                                 &out, &sink_weights_);
+    path_engine_->tentative_tree(graph_, &search_cache_, driver_vertex_,
+                                 terminal_vertices_, skip_edge, &out,
+                                 &sink_weights_);
     return out;
   }
   // Standalone graphs (unit tests, diagnostics) never see an engine: run
   // the reference backend over a thread-local arena.
   static thread_local PathSearchScratch scratch;
-  path_search_tree(graph_, PathSearchBackend::kDijkstra, nullptr,
-                   driver_vertex_, terminal_vertices_, skip_edge, scratch,
-                   &out);
+  path_search_tree(graph_, driver_vertex_, terminal_vertices_, skip_edge,
+                   scratch, &out);
   return out;
 }
 

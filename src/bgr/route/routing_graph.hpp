@@ -13,8 +13,6 @@
 
 namespace bgr {
 
-class ChipLookahead;
-
 enum class RouteVertexKind {
   kTerminal,  // circuit terminal (cell pin or pad)
   kPoint,     // physical point: (channel, column)
@@ -80,20 +78,13 @@ class RoutingGraph {
 
   /// Attaches the router's shared path-search engine; all tentative-tree
   /// searches then run through it (arena scratch, backend choice, effort
-  /// accounting). With the A* or steiner backend this also builds the
-  /// goal-oriented lower bound from the *current* graph, so call it right
-  /// after construction, before any deletion — deletions only lengthen
-  /// distances, which keeps the build-time bound admissible forever after.
-  /// When `lookahead` is non-null the bound is derived from the chip-level
-  /// table (O(terminals), no per-graph Dijkstra) instead of the exact
-  /// multi-source build; both are admissible, so for A* the searches — and
-  /// the RouteOutcome — are bit-identical either way (DESIGN.md §15). The
-  /// steiner backend additionally takes `sink_weights` (aligned with
-  /// terminal_vertices(); null ⇒ all zero), copied and passed to every
-  /// construction. Graphs without an engine (standalone tests, tools) fall
-  /// back to the reference Dijkstra backend over a thread-local scratch.
+  /// accounting). With the cached or steiner backend this also builds the
+  /// graph's SearchCache. The steiner backend additionally takes
+  /// `sink_weights` (aligned with terminal_vertices(); null ⇒ all zero),
+  /// copied and passed to every construction. Graphs without an engine
+  /// (standalone tests, tools) fall back to the reference Dijkstra backend
+  /// over a thread-local scratch.
   void set_path_search(PathSearchEngine* engine,
-                       const ChipLookahead* lookahead = nullptr,
                        const std::vector<double>* sink_weights = nullptr);
 
   [[nodiscard]] bool is_bridge(std::int32_t e) const {
@@ -171,11 +162,10 @@ class RoutingGraph {
   std::vector<bool> required_;  // vertex must stay (terminal)
   double channel_depth_est_um_ = 0.0;
   PathSearchEngine* path_engine_ = nullptr;  // not owned
-  GoalHeuristic heuristic_;       // valid iff engine is A* or steiner
   std::vector<double> sink_weights_;  // steiner only; aligned with terminals
   /// No-skip reference search over the current graph, rebuilt at the serial
   /// mutation points (set_path_search, delete_edge) and read lock-free by
-  /// concurrent scorers; lets the A* engine answer most skip-edge queries
+  /// concurrent scorers; lets the cached engine answer most skip-edge queries
   /// by dependency-cone repair instead of a full search (see SearchCache).
   SearchCache search_cache_;
 };

@@ -35,10 +35,10 @@ SteinerMetrics& steiner_metrics() {
   return *m;
 }
 
-using HeapEntry = std::pair<double, std::int32_t>;  // (f, vertex)
+using HeapEntry = std::pair<double, std::int32_t>;  // (g, vertex)
 
-void heap_push(std::vector<HeapEntry>& heap, double f, std::int32_t v) {
-  heap.emplace_back(f, v);
+void heap_push(std::vector<HeapEntry>& heap, double g, std::int32_t v) {
+  heap.emplace_back(g, v);
   std::push_heap(heap.begin(), heap.end(), std::greater<>{});
 }
 
@@ -133,7 +133,6 @@ void register_steiner_metrics() { (void)steiner_metrics(); }
 void note_steiner_cache_hit() { steiner_metrics().cache_hits.add(1); }
 
 SearchEffort steiner_tree_search(const SmallGraph& graph,
-                                 const GoalHeuristic* heuristic,
                                  std::int32_t source,
                                  const std::vector<std::int32_t>& terminals,
                                  const std::vector<double>* sink_weights,
@@ -144,11 +143,6 @@ SearchEffort steiner_tree_search(const SmallGraph& graph,
   static thread_local SteinerScratch scratch;
   scratch.begin(graph.vertex_count());
   out->clear();
-
-  const auto h_of = [&](std::int32_t v) {
-    return heuristic != nullptr ? heuristic->h[static_cast<std::size_t>(v)]
-                                : 0.0;
-  };
 
   // Decreasing-weight sink order, ties broken by terminal position — the
   // terminal list follows net_terminals creation order, which survives a
@@ -185,29 +179,24 @@ SearchEffort steiner_tree_search(const SmallGraph& graph,
     std::vector<HeapEntry>& heap = scratch.heap();
 
     // Multi-source seed: attaching via tree vertex v starts from the
-    // objective delta it already owes, w_s · dist_T(root, v). A vertex
-    // with h = inf cannot reach any terminal (admissibility), so it is
-    // labeled but never expanded.
+    // objective delta it already owes, w_s · dist_T(root, v).
     for (const std::int32_t v : scratch.tree_vertices()) {
       scratch.set_dist(v, s.weight * scratch.tree_dist(v));
-      const double hv = h_of(v);
-      if (hv != kInf) {
-        heap_push(heap, scratch.dist(v) + scale * hv, v);
-        ++effort.queue_pushes;
-      }
+      heap_push(heap, scratch.dist(v), v);
+      ++effort.queue_pushes;
     }
 
-    // Label-correcting A* on the delta objective. The popped f is the
-    // heap minimum, so once it reaches the sink's label no unexplored
-    // path can beat it: a cheaper path would keep a non-stale entry with
-    // f below the optimum in the heap (h is admissible).
+    // Label-correcting Dijkstra on the delta objective. The popped g is
+    // the heap minimum, so once it reaches the sink's label no unexplored
+    // path can beat it: a cheaper path would keep a non-stale entry below
+    // the optimum in the heap.
     while (!heap.empty()) {
-      const auto [f, v] = heap_pop(heap);
+      const auto [g, v] = heap_pop(heap);
       ++effort.pops;
       const double ds = scratch.dist(s.vertex);
-      if (ds != kInf && f >= ds) break;
+      if (ds != kInf && g >= ds) break;
       const double d = scratch.dist(v);
-      if (f != d + scale * h_of(v)) continue;  // stale (label improved)
+      if (g != d) continue;  // stale (label improved)
       for (const std::int32_t e : graph.incident_edges(v)) {
         if (e == skip_edge) continue;
         const std::int32_t w = graph.other_end(e, v);
@@ -216,11 +205,8 @@ SearchEffort steiner_tree_search(const SmallGraph& graph,
           scratch.set_dist(w, nd);
           scratch.set_parent_edge(w, e);
           ++effort.relaxations;
-          const double hw = h_of(w);
-          if (hw != kInf) {
-            heap_push(heap, nd + scale * hw, w);
-            ++effort.queue_pushes;
-          }
+          heap_push(heap, nd, w);
+          ++effort.queue_pushes;
         }
       }
     }

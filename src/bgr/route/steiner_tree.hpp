@@ -33,24 +33,21 @@ void note_steiner_cache_hit();
 /// stays a tree; newly attached vertices get their root distance
 /// incrementally.
 ///
-/// `heuristic` (optional) prunes the per-sink search with
-/// f = g + (1 + w_s) · h: h is the distance to the *nearest* terminal,
-/// hence a lower bound on the distance to this sink — admissible, so the
-/// stop test (popped f >= the sink's settled label) is exact for the
-/// objective. `sink_weights` aligns index-for-index with `terminals`
+/// Each per-sink search is an exact label-correcting Dijkstra on the delta
+/// objective that stops once the popped label reaches the sink's settled
+/// label. `sink_weights` aligns index-for-index with `terminals`
 /// (entries for the source are ignored); null or empty means w = 0
 /// everywhere, which degrades to nearest-tree attachment — the classic
 /// wirelength-greedy Steiner heuristic. `skip_edge` >= 0 is treated as
 /// deleted, exactly like the other backends.
 ///
-/// Deterministic for a fixed (graph, heuristic, weights, skip) input:
-/// value-driven seeds, a binary heap ordered on (f, vertex), adjacency-
+/// Deterministic for a fixed (graph, weights, skip) input: value-driven
+/// seeds, a binary heap ordered on (g, vertex), adjacency-
 /// order expansion and first-strict-improvement parents — no dependence
 /// on thread count or scratch history. The emitted edge order (per sink,
 /// attach vertex toward sink) is part of the contract: downstream float
 /// summations depend on it.
 SearchEffort steiner_tree_search(const SmallGraph& graph,
-                                 const GoalHeuristic* heuristic,
                                  std::int32_t source,
                                  const std::vector<std::int32_t>& terminals,
                                  const std::vector<double>* sink_weights,

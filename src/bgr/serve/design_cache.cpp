@@ -6,7 +6,6 @@
 #include "bgr/common/hash.hpp"
 #include "bgr/io/design_io.hpp"
 #include "bgr/obs/metrics.hpp"
-#include "bgr/route/lookahead.hpp"
 #include "bgr/serve/session.hpp"
 
 namespace bgr::serve {
@@ -166,29 +165,6 @@ void DesignCache::store_result(std::uint64_t request_key,
   result_bytes_ += entry.bytes;
   results_.push_front(std::move(entry));
   evict_excess_locked();
-}
-
-std::shared_ptr<const ChipLookahead> DesignCache::lookahead_for(
-    std::uint64_t design_key, const Dataset& dataset) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = datasets_.begin(); it != datasets_.end(); ++it) {
-      if (it->key != design_key) continue;
-      if (it->lookahead == nullptr) {
-        it->lookahead = std::make_shared<const ChipLookahead>(
-            it->value->placement.row_count(), it->value->tech);
-        const auto bytes =
-            static_cast<std::int64_t>(it->lookahead->approx_bytes());
-        it->bytes += bytes;
-        dataset_bytes_ += bytes;
-      }
-      return it->lookahead;
-    }
-  }
-  // Design evicted between parse and route: build an unshared table from
-  // the caller's copy rather than re-admitting the entry out of LRU order.
-  return std::make_shared<const ChipLookahead>(dataset.placement.row_count(),
-                                               dataset.tech);
 }
 
 void DesignCache::clear() {

@@ -10,10 +10,6 @@
 
 #include "bgr/gen/generator.hpp"
 
-namespace bgr {
-class ChipLookahead;
-}
-
 namespace bgr::serve {
 
 struct SessionResult;
@@ -75,15 +71,6 @@ class DesignCache {
   void store_result(std::uint64_t request_key,
                     std::shared_ptr<const SessionResult> result);
 
-  /// Chip-level A* lookahead table for a cached dataset (`--lookahead map`
-  /// jobs, DESIGN.md §15): built at most once per resident design entry,
-  /// under the cache lock, and shared by every later job of that design —
-  /// a warm job skips the table build entirely. The table's bytes are
-  /// billed to its entry (and released with it). Falls back to a fresh,
-  /// unshared build when the design is no longer resident.
-  [[nodiscard]] std::shared_ptr<const ChipLookahead> lookahead_for(
-      std::uint64_t design_key, const Dataset& dataset);
-
   /// Drops every entry of both levels (counted as evictions), returning
   /// usage() to the empty baseline.
   void clear();
@@ -116,8 +103,6 @@ class DesignCache {
     std::uint64_t key = 0;
     std::shared_ptr<const Dataset> value;
     std::int64_t bytes = 0;  // accounted at insert, released at evict
-    /// Lazily built lookahead table; its bytes fold into `bytes` above.
-    std::shared_ptr<const ChipLookahead> lookahead;
   };
   struct ResultEntry {
     std::uint64_t key = 0;

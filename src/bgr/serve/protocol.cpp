@@ -57,25 +57,16 @@ void parse_options(const JsonValue& node, JobRequest* out) {
       out->options.incremental_sta = require_bool(value, "incremental_sta");
     } else if (key == "path_search") {
       const std::string backend = require_string(value, "path_search");
-      if (backend == "astar") {
-        out->options.path_search = PathSearchBackend::kAstar;
+      if (backend == "cached" || backend == "astar") {
+        out->options.path_search = PathSearchBackend::kCached;
       } else if (backend == "dijkstra") {
         out->options.path_search = PathSearchBackend::kDijkstra;
       } else if (backend == "steiner") {
         out->options.path_search = PathSearchBackend::kSteiner;
       } else {
-        bad("'path_search' must be \"astar\", \"dijkstra\" or \"steiner\", "
+        bad("'path_search' must be \"cached\", \"dijkstra\" or \"steiner\", "
             "got \"" +
             backend + "\"");
-      }
-    } else if (key == "lookahead") {
-      const std::string mode = require_string(value, "lookahead");
-      if (mode == "exact") {
-        out->options.lookahead = LookaheadMode::kExact;
-      } else if (mode == "map") {
-        out->options.lookahead = LookaheadMode::kMap;
-      } else {
-        bad("'lookahead' must be \"exact\" or \"map\", got \"" + mode + "\"");
       }
     } else if (key == "improvement_passes") {
       const std::int64_t passes = require_int(value, "improvement_passes");

@@ -136,7 +136,6 @@ std::uint64_t request_result_key(const JobRequest& request,
   fp.mix(opt.improvement_passes);
   fp.mix(static_cast<std::int32_t>(opt.incremental_sta));
   fp.mix(static_cast<std::int32_t>(opt.path_search));
-  fp.mix(static_cast<std::int32_t>(opt.lookahead));
   fp.mix(static_cast<std::int32_t>(request.verify));
   fp.mix(static_cast<std::int32_t>(request.want_route_text));
   fp.mix(static_cast<std::int32_t>(request.want_report));
@@ -251,16 +250,6 @@ SessionResult RoutingSession::run_pipeline() {
     options.use_constraints = request_.constrained;
     options.shared_pool = pool_;
     options.cancel_requested = [this] { return cancel_requested(); };
-    if (options.lookahead == LookaheadMode::kMap &&
-        (options.path_search == PathSearchBackend::kAstar ||
-         options.path_search == PathSearchBackend::kSteiner) &&
-        cache_ != nullptr) {
-      // Chip geometry never changes mid-pipeline, so the lookahead table
-      // is cached at the parsed-dataset level: a warm job skips the build
-      // and shares the resident design's table.
-      options.lookahead_table = cache_->lookahead_for(design_key, *base);
-    }
-
     router = std::make_unique<GlobalRouter>(local->netlist,
                                             std::move(local->placement),
                                             local->tech, local->constraints,

@@ -17,9 +17,8 @@ namespace bgr {
 /// Weight (um) the routing graph charges for one feedthrough crossing of a
 /// cell row: the row height plus the expected in-channel vertical runs on
 /// both sides of the crossing. This is exactly the feed-edge weight of
-/// RoutingGraph, so bounds built from it (the chip-level lookahead table,
-/// `net_length_lower_bound_um`) are admissible against live routing-graph
-/// distances by construction.
+/// RoutingGraph, so `net_length_lower_bound_um`, which is built from it,
+/// is a true lower bound on routing-graph tree lengths by construction.
 [[nodiscard]] double row_crossing_cost_um(const TechParams& tech);
 
 /// Feed-aware net-length lower bound (um): the horizontal extent of the

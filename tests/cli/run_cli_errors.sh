@@ -2,8 +2,10 @@
 # Regression for the checked-choice CLI parses: a typo'd --path-search
 # engine must exit with the usage code (2) and the diagnostic must name
 # every registered engine, so the error doubles as documentation and a
-# newly added backend cannot be forgotten in the message. Also checks
-# that the usage text lists the output flags (--verify and friends).
+# newly added backend cannot be forgotten in the message. A value flag
+# given no value must say so (not "unknown option"), the removed
+# --lookahead flag must be rejected, and the usage text must list the
+# output flags (--verify and friends).
 set -u
 
 cli="$1"
@@ -21,7 +23,7 @@ case "$out" in
   *"--path-search"*) ;;
   *) fail "diagnostic does not name the flag" ;;
 esac
-for engine in astar dijkstra steiner; do
+for engine in cached dijkstra steiner; do
   case "$out" in
     *"$engine"*) ;;
     *) fail "diagnostic does not list engine '$engine'" ;;
@@ -32,10 +34,30 @@ case "$out" in
   *) fail "diagnostic does not echo the rejected value" ;;
 esac
 
-# A missing value is rejected the same way, not read past argv.
-out=$("$cli" @C1P1 --path-search 2>&1)
+# A missing value is rejected with a diagnostic that names the flag and
+# says a value is expected, not read past argv or called unknown.
+for flag in --path-search --metrics-out --svg; do
+  out=$("$cli" @C1P1 "$flag" 2>&1)
+  status=$?
+  [ "$status" -eq 2 ] ||
+    fail "expected exit 2 for $flag without a value, got $status"
+  case "$out" in
+    *"$flag expects a value"*) ;;
+    *) fail "diagnostic for $flag does not say it expects a value" ;;
+  esac
+  case "$out" in
+    *"unknown option"*) fail "$flag without a value reported as unknown" ;;
+  esac
+done
+
+# --lookahead is not an option: it must be rejected as unknown.
+out=$("$cli" @C1P1 --lookahead map 2>&1)
 status=$?
-[ "$status" -eq 2 ] || fail "expected exit 2 for missing value, got $status"
+[ "$status" -eq 2 ] || fail "expected exit 2 for --lookahead, got $status"
+case "$out" in
+  *"unknown option '--lookahead'"*) ;;
+  *) fail "--lookahead is not reported as an unknown option" ;;
+esac
 
 # --help documents every flag the parser accepts, the output flags
 # included, and exits 0.

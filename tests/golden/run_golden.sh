@@ -31,7 +31,7 @@ trap 'rm -f "$actual"' EXIT
   "$bgr_route" "$golden_dir/golden_design.txt" --rc --incremental-sta off \
       --threads 1 | filter
   echo "== lumped, dijkstra path search, serial =="
-  # Must match the A* runs above on every semantic line except the
+  # Must match the cached-engine runs above on every semantic line but the
   # search-effort columns (pops/relax) — the backends are bit-identical
   # in what they decide, not in how hard they work for it.
   "$bgr_route" "$golden_dir/golden_design.txt" --path-search dijkstra \

@@ -75,10 +75,10 @@ TEST(LowerBound, BoundIsBelowAnyRoutedLength) {
 }
 
 TEST(LowerBound, RowCrossingCostPricesEveryFeedEdge) {
-  // The chip-level lookahead table (DESIGN.md §15) prices one row
-  // crossing at exactly row_crossing_cost_um; its admissibility rests on
-  // every feed edge of every routing graph weighing exactly that. Pin
-  // the cross-module identity on a fuzz-sampled design.
+  // net_length_lower_bound_um prices one row crossing at exactly
+  // row_crossing_cost_um; it stays a lower bound only while every feed
+  // edge of every routing graph weighs exactly that. Pin the cross-module
+  // identity on a fuzz-sampled design.
   Dataset design = generate_circuit(sample_spec(7));
   const double cross = row_crossing_cost_um(design.tech);
   EXPECT_NEAR(cross,

@@ -49,8 +49,9 @@ PipelineSnapshot route_pipeline(const CircuitSpec& spec,
 }
 
 /// Bit-identity of everything the router decided. `compare_path_effort`
-/// is off across backends (different pop counts are A*'s whole point) and
-/// on across thread counts (the same searches must run either way).
+/// is off across backends (different pop counts are the cache's whole
+/// point) and on across thread counts (the same searches must run either
+/// way).
 void expect_identical(const PipelineSnapshot& a, const PipelineSnapshot& b,
                       bool compare_path_effort) {
   EXPECT_EQ(a.outcome.critical_delay_ps, b.outcome.critical_delay_ps);
@@ -79,19 +80,16 @@ void expect_identical(const PipelineSnapshot& a, const PipelineSnapshot& b,
   EXPECT_EQ(a.margins_ps, b.margins_ps);
 }
 
-/// Runs both backends standalone on the net's *current* graph (mid-
-/// routing, so with real deletions applied) for the no-skip search and a
-/// handful of candidate skip edges, and requires bit-identical trees —
-/// the raw searches AND the engine's cache-backed cone repair, which must
-/// agree with the reference no matter which internal path (cached tree,
-/// empty-cone reuse, boundary-seeded repair) answers the query.
+/// Runs the reference search standalone on the net's *current* graph
+/// (mid-routing, so with real deletions applied) for the no-skip search
+/// and a handful of candidate skip edges, and requires the engine's
+/// cache-backed cone repair to return bit-identical trees no matter which
+/// internal path (cached tree, empty-cone reuse, boundary-seeded repair)
+/// answers the query.
 void compare_backends_on_graph(const RoutingGraph& g, std::int64_t step) {
   const SmallGraph& sg = g.graph();
-  const GoalHeuristic heuristic = build_goal_heuristic(
-      sg, g.driver_vertex(), g.terminal_vertices());
   PathSearchScratch dijkstra_scratch;
-  PathSearchScratch astar_scratch;
-  PathSearchEngine engine(PathSearchBackend::kAstar, nullptr);
+  PathSearchEngine engine(PathSearchBackend::kCached, nullptr);
   SearchCache cache;
   engine.refresh_cache(sg, g.driver_vertex(), g.terminal_vertices(), &cache);
 
@@ -102,23 +100,30 @@ void compare_backends_on_graph(const RoutingGraph& g, std::int64_t step) {
   }
   for (const std::int32_t skip : skips) {
     std::vector<std::int32_t> dijkstra_tree;
-    std::vector<std::int32_t> astar_tree;
     std::vector<std::int32_t> cached_tree;
-    (void)path_search_tree(sg, PathSearchBackend::kDijkstra, nullptr,
-                           g.driver_vertex(), g.terminal_vertices(), skip,
+    (void)path_search_tree(sg, g.driver_vertex(), g.terminal_vertices(), skip,
                            dijkstra_scratch, &dijkstra_tree);
-    (void)path_search_tree(sg, PathSearchBackend::kAstar, &heuristic,
-                           g.driver_vertex(), g.terminal_vertices(), skip,
-                           astar_scratch, &astar_tree);
-    engine.tentative_tree(sg, &heuristic, &cache, g.driver_vertex(),
+    engine.tentative_tree(sg, &cache, g.driver_vertex(),
                           g.terminal_vertices(), skip, &cached_tree);
-    ASSERT_EQ(dijkstra_tree, astar_tree)
-        << "tentative trees diverged at deletion step " << step << ", skip "
-        << skip;
     ASSERT_EQ(dijkstra_tree, cached_tree)
         << "cone repair diverged at deletion step " << step << ", skip "
         << skip;
   }
+}
+
+TEST(PathSearchScratch, ReusedArenasForgetOldLabels) {
+  PathSearchScratch scratch;
+  EXPECT_FALSE(scratch.begin(8, 8));  // first use allocates
+  scratch.set_dist(3, 1.5);
+  scratch.set_parent_edge(3, 2);
+  scratch.mark_edge(5);
+  scratch.mark_cone(4);
+  EXPECT_TRUE(scratch.begin(8, 8));  // same size: pure epoch bump
+  EXPECT_EQ(scratch.dist(3), PathSearchScratch::kInf);
+  EXPECT_EQ(scratch.parent_edge(3), SmallGraph::kNone);
+  EXPECT_FALSE(scratch.edge_marked(5));
+  EXPECT_FALSE(scratch.in_cone(4));
+  EXPECT_FALSE(scratch.begin(16, 8));  // growth reported
 }
 
 TEST(PathSearchDifferential, TentativeTreesBitIdenticalDuringRouting) {

@@ -49,6 +49,18 @@ TEST(ServeProtocol, ParsesJobWithOptions) {
   EXPECT_TRUE(parsed.job.verify);
   EXPECT_TRUE(parsed.job.want_route_text);
   EXPECT_TRUE(parsed.job.want_report);
+
+  // `astar` is the old spelling of the cached engine: both parse to the
+  // same backend, so old requests keep their result key.
+  for (const char* name : {"astar", "cached"}) {
+    const ParsedRequest engine = parse_request_line(
+        std::string("{\"id\":\"j\",\"dataset\":\"C1P1\",\"options\":"
+                    "{\"path_search\":\"") +
+        name + "\"}}");
+    ASSERT_EQ(engine.kind, ParsedRequest::Kind::kJob) << engine.error;
+    EXPECT_EQ(engine.job.options.path_search, PathSearchBackend::kCached)
+        << name;
+  }
 }
 
 TEST(ServeProtocol, ParsesControlRequests) {
@@ -82,6 +94,8 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
       "\"options\":{\"improvement_passes\":-1}}",  // out-of-range option
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
       "\"options\":{\"path_search\":\"bfs\"}}",    // bad enum
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"lookahead\":\"map\"}}",    // removed option
       "{\"cancel\":\"j\",\"ping\":true}",     // control with extra field
       "{\"id\":\"j\",\"dataset\":\"C1P1\"",   // truncated JSON
       "{\"id\":17,\"dataset\":\"C1P1\"}",     // wrong type
@@ -91,6 +105,12 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
     EXPECT_EQ(parsed.kind, ParsedRequest::Kind::kError) << line;
     EXPECT_FALSE(parsed.error.empty()) << line;
   }
+  const ParsedRequest lookahead = parse_request_line(
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"lookahead\":\"map\"}}");
+  EXPECT_NE(lookahead.error.find("unknown option 'lookahead'"),
+            std::string::npos)
+      << lookahead.error;
 }
 
 TEST(ServeProtocol, ResponsesSerializeToOneLine) {

@@ -14,7 +14,6 @@
 #include "bgr/fuzz/spec_sampler.hpp"
 #include "bgr/gen/generator.hpp"
 #include "bgr/io/design_io.hpp"
-#include "bgr/route/lookahead.hpp"
 #include "bgr/serve/design_cache.hpp"
 #include "bgr/serve/session.hpp"
 
@@ -234,8 +233,6 @@ TEST(RequestResultKey, SeparatesOptionsAndDesigns) {
   b.options.improvement_passes = 5;
   JobRequest c = a;
   c.constrained = false;
-  JobRequest d = a;
-  d.options.lookahead = LookaheadMode::kMap;
   const std::uint64_t design_key = DesignCache::text_key(a.design_text);
   const std::uint64_t other_key = DesignCache::text_key("something else");
   EXPECT_NE(request_result_key(a, design_key),
@@ -243,28 +240,27 @@ TEST(RequestResultKey, SeparatesOptionsAndDesigns) {
   EXPECT_NE(request_result_key(a, design_key),
             request_result_key(c, design_key));
   EXPECT_NE(request_result_key(a, design_key),
-            request_result_key(d, design_key));
-  EXPECT_NE(request_result_key(a, design_key),
             request_result_key(a, other_key));
   EXPECT_EQ(request_result_key(a, design_key),
             request_result_key(a, design_key));
 }
 
 TEST(RoutingSession, SteinerEngineGetsItsOwnResultCacheEntry) {
-  // Two jobs differing only in `--path-search steiner` vs `astar` must
+  // Two jobs differing only in `--path-search steiner` vs `cached` must
   // land in distinct result-cache slots (the key mixes the engine) and
   // produce distinct digests — the steiner backend is *allowed* to route
-  // differently, so serving it an astar result would be a wrong answer.
+  // differently, so serving it a cached-engine result would be a wrong
+  // answer.
   DesignCache cache;
-  const JobRequest astar = small_request("a", 12);
-  JobRequest steiner = astar;
+  const JobRequest cached = small_request("a", 12);
+  JobRequest steiner = cached;
   steiner.options.path_search = PathSearchBackend::kSteiner;
 
-  const std::uint64_t design_key = DesignCache::text_key(astar.design_text);
-  EXPECT_NE(request_result_key(astar, design_key),
+  const std::uint64_t design_key = DesignCache::text_key(cached.design_text);
+  EXPECT_NE(request_result_key(cached, design_key),
             request_result_key(steiner, design_key));
 
-  RoutingSession first(astar, &cache, nullptr);
+  RoutingSession first(cached, &cache, nullptr);
   const SessionResult a = first.run();
   ASSERT_EQ(a.status, SessionStatus::kDone);
   EXPECT_EQ(a.cache, "miss");
@@ -284,31 +280,10 @@ TEST(RoutingSession, SteinerEngineGetsItsOwnResultCacheEntry) {
   EXPECT_EQ(again.digest, s.digest);
 }
 
-TEST(RoutingSession, MapLookaheadMatchesExactThroughTheCache) {
-  // `--lookahead map` through the serve path: different result key (no
-  // false result-hit), shared parsed design, cached lookahead table — and
-  // a bit-identical outcome, because both heuristics are admissible.
-  DesignCache cache;
-  JobRequest exact = small_request("e", 11);
-  JobRequest map = exact;
-  map.id = "m";
-  map.options.lookahead = LookaheadMode::kMap;
-
-  RoutingSession exact_session(exact, &cache, nullptr);
-  const SessionResult a = exact_session.run();
-  ASSERT_EQ(a.status, SessionStatus::kDone);
-
-  RoutingSession map_session(map, &cache, nullptr);
-  const SessionResult b = map_session.run();
-  ASSERT_EQ(b.status, SessionStatus::kDone);
-  EXPECT_EQ(b.cache, "design-hit");
-  EXPECT_EQ(b.digest, a.digest);
-}
-
 TEST(DesignCache, UsageReturnsToBaselineAfterFullEviction) {
   // Regression: the byte gauge is maintained incrementally, so eviction
-  // must release exactly what insertion charged — including the lazily
-  // attached lookahead table — or usage() drifts away from reality.
+  // must release exactly what insertion charged, or usage() drifts away
+  // from reality.
   DesignCache cache(2, 2);
   const DesignCache::Usage empty = cache.usage();
   EXPECT_EQ(empty.dataset_entries, 0);
@@ -319,8 +294,7 @@ TEST(DesignCache, UsageReturnsToBaselineAfterFullEviction) {
   // Overfill both levels so the LRU evicts while we insert.
   for (std::uint64_t seed = 20; seed < 25; ++seed) {
     const std::string text = small_design_text(seed);
-    const auto dataset = cache.dataset_for_text(text, "test");
-    (void)cache.lookahead_for(DesignCache::text_key(text), *dataset);
+    (void)cache.dataset_for_text(text, "test");
     cache.store_result(seed, std::make_shared<const SessionResult>());
   }
   const DesignCache::Usage full = cache.usage();
@@ -335,28 +309,6 @@ TEST(DesignCache, UsageReturnsToBaselineAfterFullEviction) {
   EXPECT_EQ(cleared.dataset_bytes, 0);
   EXPECT_EQ(cleared.result_entries, 0);
   EXPECT_EQ(cleared.result_bytes, 0);
-}
-
-TEST(DesignCache, LookaheadTableIsBuiltOncePerResidentDesign) {
-  DesignCache cache;
-  const std::string text = small_design_text(30);
-  const std::uint64_t key = DesignCache::text_key(text);
-  const auto dataset = cache.dataset_for_text(text, "test");
-
-  const DesignCache::Usage before = cache.usage();
-  const auto first = cache.lookahead_for(key, *dataset);
-  const auto second = cache.lookahead_for(key, *dataset);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first.get(), second.get());  // built once, then shared
-  const DesignCache::Usage after = cache.usage();
-  EXPECT_GT(after.dataset_bytes, before.dataset_bytes);
-  EXPECT_EQ(cache.usage().dataset_bytes, after.dataset_bytes);
-
-  // A design that is not resident still gets a (private) table.
-  const auto orphan =
-      cache.lookahead_for(DesignCache::text_key("absent"), *dataset);
-  ASSERT_NE(orphan, nullptr);
-  EXPECT_NE(orphan.get(), first.get());
 }
 
 }  // namespace

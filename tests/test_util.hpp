@@ -38,7 +38,7 @@ struct EngineInfo {
 inline std::vector<EngineInfo> all_path_search_engines() {
   return {
       {PathSearchBackend::kDijkstra, "dijkstra", true},
-      {PathSearchBackend::kAstar, "astar", true},
+      {PathSearchBackend::kCached, "cached", true},
       {PathSearchBackend::kSteiner, "steiner", false},
   };
 }

@@ -16,21 +16,18 @@
 //                         sharded concurrent edge deletion (on, the
 //                         default) or the single global scan loop (off);
 //                         the routed result is bit-identical either way
-//     --path-search {astar,dijkstra,steiner}
-//                         tentative-tree search backend: goal-oriented A*
-//                         over a dial queue (astar, the default) or the
-//                         reference binary-heap Dijkstra — bit-identical
-//                         results either way — or the cost-distance
-//                         Steiner construction (steiner), which trades
-//                         wirelength against slack-weighted source–sink
-//                         paths and is allowed to differ (deterministic,
-//                         verifier-clean, margin-dominant; DESIGN.md §16)
-//     --lookahead {exact,map}
-//                         source of the A* lower bounds: an exact
-//                         multi-source Dijkstra per routing graph (exact,
-//                         the default) or derivation from the chip-level
-//                         lookahead table built once per design (map);
-//                         the routed result is bit-identical either way
+//     --path-search {cached,dijkstra,steiner}
+//                         tentative-tree search backend: the reference
+//                         Dijkstra with per-graph search caches repaired
+//                         over each skipped edge's dependency cone
+//                         (cached, the default; `astar` is an alias) or
+//                         the reference binary-heap Dijkstra run per
+//                         query — bit-identical results either way — or
+//                         the cost-distance Steiner construction
+//                         (steiner), which trades wirelength against
+//                         slack-weighted source–sink paths and is allowed
+//                         to differ (deterministic, verifier-clean,
+//                         margin-dominant; DESIGN.md §16)
 //     --min-capacity-search
 //                         instead of routing once, binary-search the
 //                         minimum per-channel track capacity the design
@@ -85,8 +82,8 @@ void usage(std::FILE* out) {
                "usage: bgr_route <design.txt | @C1P1> [--unconstrained] "
                "[--rc] [--sequential] [--no-improve] "
                "[--incremental-sta on|off] [--shard-deletion on|off] "
-               "[--path-search astar|dijkstra|steiner] "
-               "[--lookahead exact|map] [--min-capacity-search] "
+               "[--path-search cached|dijkstra|steiner] "
+               "[--min-capacity-search] "
                "[--threads N] "
                "[--repeat K] [--save-route FILE] [--save-design FILE] "
                "[--skew] [--map] [--svg FILE] [--verify] [--stats] "
@@ -151,52 +148,45 @@ int main(int argc, char** argv) {
   std::string trace_out_path;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    auto next_value = [&]() -> const char* {
+      return i + 1 < argc ? argv[++i] : nullptr;
+    };
     if (arg == "--unconstrained") {
       constrained = false;
     } else if (arg == "--rc") {
       options.delay_model = DelayModel::kElmoreRC;
     } else if (arg == "--sequential") {
       options.concurrent_initial = false;
-    } else if (arg == "--incremental-sta" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "on") {
-        options.incremental_sta = true;
-      } else if (mode == "off") {
-        options.incremental_sta = false;
-      } else {
-        std::fprintf(stderr, "error: --incremental-sta must be on or off\n");
-        return cli::kExitUsage;
-      }
-    } else if (arg == "--shard-deletion" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "on") {
-        options.shard_deletion = true;
-      } else if (mode == "off") {
-        options.shard_deletion = false;
-      } else {
-        std::fprintf(stderr, "error: --shard-deletion must be on or off\n");
-        return cli::kExitUsage;
-      }
-    } else if (arg == "--path-search" && i + 1 < argc) {
+    } else if (arg == "--incremental-sta") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--incremental-sta");
       std::size_t choice = 0;
-      if (!cli::parse_choice_option("--path-search", argv[++i],
-                                    {"astar", "dijkstra", "steiner"},
+      if (!cli::parse_choice_option("--incremental-sta", value, {"on", "off"},
                                     &choice)) {
         return cli::kExitUsage;
       }
-      options.path_search = choice == 0   ? PathSearchBackend::kAstar
-                            : choice == 1 ? PathSearchBackend::kDijkstra
-                                          : PathSearchBackend::kSteiner;
-    } else if (arg == "--lookahead" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "exact") {
-        options.lookahead = LookaheadMode::kExact;
-      } else if (mode == "map") {
-        options.lookahead = LookaheadMode::kMap;
-      } else {
-        std::fprintf(stderr, "error: --lookahead must be exact or map\n");
+      options.incremental_sta = choice == 0;
+    } else if (arg == "--shard-deletion") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--shard-deletion");
+      std::size_t choice = 0;
+      if (!cli::parse_choice_option("--shard-deletion", value, {"on", "off"},
+                                    &choice)) {
         return cli::kExitUsage;
       }
+      options.shard_deletion = choice == 0;
+    } else if (arg == "--path-search") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--path-search");
+      std::size_t choice = 0;
+      if (!cli::parse_choice_option("--path-search", value,
+                                    {"cached", "dijkstra", "steiner", "astar"},
+                                    &choice)) {
+        return cli::kExitUsage;
+      }
+      options.path_search = choice == 1   ? PathSearchBackend::kDijkstra
+                            : choice == 2 ? PathSearchBackend::kSteiner
+                                          : PathSearchBackend::kCached;
     } else if (arg == "--min-capacity-search") {
       capacity_search = true;
     } else if (arg == "--no-improve") {
@@ -204,14 +194,13 @@ int main(int argc, char** argv) {
       options.enable_delay_improvement = false;
       options.enable_area_improvement = false;
     } else if (arg == "--threads") {
-      const char* value = i + 1 < argc ? argv[++i] : nullptr;
-      if (!parse_int_option("--threads", value, 0, 1024, &options.threads)) {
+      if (!parse_int_option("--threads", next_value(), 0, 1024,
+                            &options.threads)) {
         return cli::kExitUsage;
       }
     } else if (arg == "--repeat") {
-      const char* value = i + 1 < argc ? argv[++i] : nullptr;
       std::int32_t repeat32 = 1;
-      if (!parse_int_option("--repeat", value, 1, 100000, &repeat32)) {
+      if (!parse_int_option("--repeat", next_value(), 1, 100000, &repeat32)) {
         return cli::kExitUsage;
       }
       repeat = repeat32;
@@ -223,18 +212,30 @@ int main(int argc, char** argv) {
       run_verify = true;
     } else if (arg == "--stats") {
       print_stats_flag = true;
-    } else if (arg == "--svg" && i + 1 < argc) {
-      svg_path = argv[++i];
-    } else if (arg == "--save-route" && i + 1 < argc) {
-      save_route_path = argv[++i];
-    } else if (arg == "--save-design" && i + 1 < argc) {
-      save_design_path = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out_path = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out_path = argv[++i];
-    } else if (arg == "--log-format" && i + 1 < argc) {
-      if (!cli::parse_log_format_option(argv[++i])) return cli::kExitUsage;
+    } else if (arg == "--svg") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--svg");
+      svg_path = value;
+    } else if (arg == "--save-route") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--save-route");
+      save_route_path = value;
+    } else if (arg == "--save-design") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--save-design");
+      save_design_path = value;
+    } else if (arg == "--metrics-out") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--metrics-out");
+      metrics_out_path = value;
+    } else if (arg == "--trace-out") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--trace-out");
+      trace_out_path = value;
+    } else if (arg == "--log-format") {
+      const char* value = next_value();
+      if (value == nullptr) return cli::missing_value("--log-format");
+      if (!cli::parse_log_format_option(value)) return cli::kExitUsage;
     } else if (arg == "--help") {
       usage(stdout);
       return cli::kExitOk;

@@ -37,8 +37,9 @@ import sys
 SCHEMA_VERSION = 1
 ROUTE_SECTIONS = ("design", "options", "result", "stats", "phases", "run")
 # Semantic counters every routed report must carry, whatever the backend.
-# The cache counters register (at zero) even under the Dijkstra backend;
-# the A*-only bucket metrics are deliberately not on this list.
+# The cache counters register (at zero) even under the Dijkstra backend.
+PATH_SEARCH_BACKENDS = ("cached", "dijkstra", "steiner")
+
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
     "route.graphs_built",
@@ -52,9 +53,6 @@ ROUTE_SEMANTIC_METRICS = (
     "path.cache_builds",
     "path.cache_hits",
     "path.cone_repairs",
-    "lookahead.builds",
-    "lookahead.derivations",
-    "lookahead.vertices",
     "sta.full_sweeps",
     "shard.components",
     "shard.commits",
@@ -148,9 +146,10 @@ def check_report(report, path):
         for name in ROUTE_SEMANTIC_METRICS:
             if name not in report["metrics"]["semantic"]:
                 fail(f"{path}: metrics.semantic lacks '{name}'")
-        for option in ("path_search", "lookahead"):
-            if option not in report["options"]:
-                fail(f"{path}: options lacks '{option}'")
+        path_search = report["options"].get("path_search")
+        if path_search not in PATH_SEARCH_BACKENDS:
+            fail(f"{path}: options.path_search must be one of "
+                 f"{', '.join(PATH_SEARCH_BACKENDS)}, got {path_search!r}")
         if not isinstance(report["phases"], list) or not report["phases"]:
             fail(f"{path}: 'phases' must be a non-empty array")
         for ph in report["phases"]:
