@@ -28,6 +28,9 @@ struct RouteMetrics {
       "route.deleted_edges", MetricScope::kSemantic);
   Counter& reroutes = MetricsRegistry::global().counter(
       "route.reroutes", MetricScope::kSemantic);
+  /// Re-routes answered from the reroute memo (counted in `reroutes` too).
+  Counter& reroutes_skipped = MetricsRegistry::global().counter(
+      "route.reroutes_skipped", MetricScope::kSemantic);
   Counter& graphs_built = MetricsRegistry::global().counter(
       "route.graphs_built", MetricScope::kSemantic);
   Counter& score_miss = MetricsRegistry::global().counter(
@@ -124,6 +127,8 @@ void GlobalRouter::build_all_graphs() {
   ScopedSpan span("build_graphs", "route");
   graphs_.clear();
   graphs_.resize(static_cast<std::size_t>(netlist_.net_count()));
+  reroute_memo_.clear();
+  reroute_memo_.resize(static_cast<std::size_t>(netlist_.net_count()));
   // Each G_r(n) depends only on the (const) netlist, placement and
   // feedthrough assignment, so all nets build concurrently — the shadow of
   // a differential pair reads its primary's *assignment*, not its graph.
@@ -814,7 +819,8 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
       }));
 }
 
-void GlobalRouter::reduce_net_to_tree(NetId net, PhaseStats& stats) {
+void GlobalRouter::reduce_net_to_tree(NetId net, PhaseStats& stats,
+                                      std::vector<std::int32_t>* committed) {
   std::vector<Candidate> candidates;
   for (const auto e : graphs_[net]->non_bridge_edges()) {
     candidates.push_back(Candidate{net, e});
@@ -823,15 +829,29 @@ void GlobalRouter::reduce_net_to_tree(NetId net, PhaseStats& stats) {
       candidates, /*slot=*/nullptr,
       [&](NetId n, std::int32_t edge, const SelectionKey&) {
         record_commit(n, edge, stats);
+        if (committed != nullptr) committed->push_back(edge);
       }));
 }
 
 void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
   net = primary_of(net);
+  ++stats.reroutes;
+  route_metrics().reroutes.add(1);
+  RerouteMemo& memo = reroute_memo_[net];
+  if (memo.epoch == tree_epoch_) {
+    // No tree changed since this net's last executed re-route, so every
+    // input it read is unchanged: re-running it would commit the same edges
+    // and end on the tree the net already has. Replay the bookkeeping only.
+    for (const std::int32_t e : memo.edges) record_commit(net, e, stats);
+    route_metrics().reroutes_skipped.add(1);
+    return;
+  }
   const Net& n = netlist_.net(net);
   std::vector<NetId> members{net};
   if (n.is_differential()) members.push_back(n.diff_partner);
+  std::vector<std::vector<std::int32_t>> before;
   for (const NetId member : members) {
+    before.push_back(graphs_[member]->alive_edges());
     unregister_graph_density(member);
     if (member == net) {
       graphs_[member] = std::make_unique<RoutingGraph>(netlist_, placement_,
@@ -848,9 +868,15 @@ void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
     register_graph_density(member);
     refresh_net_estimate(member);
   }
-  reduce_net_to_tree(net, stats);
-  ++stats.reroutes;
-  route_metrics().reroutes.add(1);
+  memo.edges.clear();
+  reduce_net_to_tree(net, stats, &memo.edges);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (graphs_[members[i]]->alive_edges() != before[i]) {
+      ++tree_epoch_;
+      break;
+    }
+  }
+  memo.epoch = tree_epoch_;
 }
 
 void GlobalRouter::recover_violations(PhaseStats& stats) {
@@ -979,6 +1005,7 @@ RouteOutcome GlobalRouter::refine(const IdVector<NetId, double>& extra_um) {
 
   RouteOutcome outcome;
   auto run_phase = [&](const std::string& name, auto&& body, bool enabled) {
+    ++tree_epoch_;  // no reroute memo crosses a phase
     PhaseStats stats;
     stats.name = name;
     ScopedSpan span(name, "phase");
@@ -1029,6 +1056,7 @@ RouteOutcome GlobalRouter::refine(const IdVector<NetId, double>& extra_um) {
 RouteOutcome GlobalRouter::reroute(const std::vector<NetId>& nets) {
   BGR_CHECK_MSG(run_state_ == RunState::kDone,
                 "reroute() requires a completed run()");
+  ++tree_epoch_;  // no reroute memo crosses a phase
   RouteOutcome outcome;
   PhaseStats stats;
   stats.name = "eco_reroute";
@@ -1136,6 +1164,7 @@ RouteOutcome GlobalRouter::run() {
   RouteOutcome outcome;
   auto run_phase = [&](const std::string& name, auto&& body, bool enabled) {
     poll_cancel(name.c_str());
+    ++tree_epoch_;  // no reroute memo crosses a phase
     PhaseStats stats;
     stats.name = name;
     ScopedSpan span(name, "phase");

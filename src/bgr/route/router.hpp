@@ -283,8 +283,10 @@ class GlobalRouter {
   void delete_in_graph(NetId net, std::int32_t edge,
                        std::vector<DensityChange>& changes);
   /// Deletes edges of one net until its graph is a tree (local loop used by
-  /// rip-up/re-route).
-  void reduce_net_to_tree(NetId net, PhaseStats& stats);
+  /// rip-up/re-route). When `committed` is set, every committed edge is
+  /// appended to it in commit order.
+  void reduce_net_to_tree(NetId net, PhaseStats& stats,
+                          std::vector<std::int32_t>* committed = nullptr);
   void initial_routing(PhaseStats& stats);
   void reroute_net(NetId net, PhaseStats& stats);
   void recover_violations(PhaseStats& stats);
@@ -319,6 +321,18 @@ class GlobalRouter {
   /// thread-invariant input.
   IdVector<NetId, double> net_sink_weight_;
   ShardDecomposition shards_;
+  /// Reroute memo (DESIGN.md §5). `tree_epoch_` advances at every phase
+  /// start and whenever an executed re-route leaves its net (primary plus
+  /// shadow) with a different tree. A primary's memo holds the epoch at the
+  /// end of its last executed re-route and the edges that re-route
+  /// committed; while the epoch has not moved since, re-routing the net
+  /// again would commit the same edges and end on the tree it already has.
+  struct RerouteMemo {
+    std::uint64_t epoch = 0;
+    std::vector<std::int32_t> edges;
+  };
+  std::uint64_t tree_epoch_ = 0;
+  IdVector<NetId, RerouteMemo> reroute_memo_;
   CriteriaOrder order_ = CriteriaOrder::kDelayFirst;
   RunState run_state_ = RunState::kIdle;
   std::int32_t feed_cells_added_ = 0;

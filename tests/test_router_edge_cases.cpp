@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "bgr/metrics/experiment.hpp"
+#include "bgr/obs/metrics.hpp"
+#include "bgr/route/router.hpp"
 #include "test_util.hpp"
 
 namespace bgr {
@@ -177,6 +182,103 @@ TEST(RouterEdge, EcoRerouteKeepsDesignLegal) {
   for (std::int32_t c = 0; c < fresh.channel_count(); ++c) {
     for (std::int32_t x = 0; x < fresh.width(); ++x) {
       ASSERT_EQ(router.density().total_at(c, x), fresh.total_at(c, x));
+    }
+  }
+}
+
+TEST(RouterEdge, EcoRerouteRepeatMatchesSplitCalls) {
+  // One reroute() call that repeats nets may answer the repeats from the
+  // reroute memo; the same nets as single-net calls are one phase each and
+  // never do. Both must leave the same trees, charts, margins and
+  // bookkeeping.
+  const Dataset ds = generate_circuit(testutil::small_spec(211));
+  NetId a;
+  NetId b;
+  for (const NetId n : ds.netlist.nets()) {
+    const Net& net = ds.netlist.net(n);
+    if (!a.valid() && net.is_differential() && !net.diff_primary) a = n;
+    if (!b.valid() && net.pitch_width > 1) b = n;
+  }
+  ASSERT_TRUE(a.valid()) << "spec lost its differential pairs";
+  ASSERT_TRUE(b.valid()) << "spec lost its multi-pitch nets";
+  std::vector<NetId> targets{a, b, a, a, b};
+  // Then two sweeps over every net: the first changes some trees, so the
+  // second must tell memos still valid from memos another net's new tree
+  // has made stale.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (const NetId n : ds.netlist.nets()) targets.push_back(n);
+  }
+  Counter& skipped = MetricsRegistry::global().counter(
+      "route.reroutes_skipped", MetricScope::kSemantic);
+
+  for (const DelayModel model : {DelayModel::kLumpedC, DelayModel::kElmoreRC}) {
+    SCOPED_TRACE(model == DelayModel::kLumpedC ? "lumped" : "elmore-rc");
+    struct Routed {
+      explicit Routed(const Netlist& nl) : netlist(nl) {}
+      Netlist netlist;
+      std::vector<std::pair<NetId, std::int32_t>> deletions;
+      std::unique_ptr<GlobalRouter> router;
+      std::int64_t deleted = 0;
+      std::int64_t reroutes = 0;
+      std::int64_t skipped = 0;
+    };
+    auto route = [&](Routed& r, bool split) {
+      RouterOptions options;
+      options.delay_model = model;
+      options.deletion_observer = [&r](NetId net, std::int32_t edge) {
+        r.deletions.emplace_back(net, edge);
+      };
+      r.router = std::make_unique<GlobalRouter>(
+          r.netlist, ds.placement, ds.tech, ds.constraints, options);
+      (void)r.router->run();
+      r.deletions.clear();
+      const std::int64_t skipped_before = skipped.value();
+      std::vector<RouteOutcome> outcomes;
+      if (split) {
+        for (const NetId n : targets) outcomes.push_back(r.router->reroute({n}));
+      } else {
+        outcomes.push_back(r.router->reroute(targets));
+      }
+      r.skipped = skipped.value() - skipped_before;
+      for (const RouteOutcome& o : outcomes) {
+        for (const PhaseStats& ph : o.phases) {
+          r.deleted += ph.deletions;
+          r.reroutes += ph.reroutes;
+        }
+      }
+    };
+    Routed once{ds.netlist};
+    Routed split{ds.netlist};
+    route(once, /*split=*/false);
+    route(split, /*split=*/true);
+
+    EXPECT_GT(once.skipped, 0);
+    EXPECT_EQ(split.skipped, 0);
+    EXPECT_EQ(once.reroutes, static_cast<std::int64_t>(targets.size()));
+    EXPECT_EQ(once.reroutes, split.reroutes);
+    EXPECT_EQ(once.deleted, split.deleted);
+    EXPECT_EQ(once.deletions, split.deletions);
+    for (const NetId n : once.netlist.nets()) {
+      ASSERT_EQ(once.router->net_graph(n).alive_edges(),
+                split.router->net_graph(n).alive_edges())
+          << once.netlist.net(n).name;
+    }
+    const DensityMap& da = once.router->density();
+    const DensityMap& db = split.router->density();
+    for (std::int32_t c = 0; c < da.channel_count(); ++c) {
+      for (std::int32_t x = 0; x < da.width(); ++x) {
+        ASSERT_EQ(da.total_at(c, x), db.total_at(c, x));
+        ASSERT_EQ(da.bridge_at(c, x), db.bridge_at(c, x));
+      }
+    }
+    const TimingAnalyzer& ta = once.router->analyzer();
+    const TimingAnalyzer& tb = split.router->analyzer();
+    ASSERT_GT(ta.constraint_count(), 0);
+    for (const ConstraintId p : ta.constraints()) {
+      const double ma = ta.margin_ps(p);
+      const double mb = tb.margin_ps(p);
+      EXPECT_EQ(std::memcmp(&ma, &mb, sizeof ma), 0)
+          << "constraint " << p.index() << ": " << ma << " vs " << mb;
     }
   }
 }

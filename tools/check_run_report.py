@@ -43,6 +43,8 @@ PATH_SEARCH_BACKENDS = ("cached", "dijkstra", "steiner")
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
     "route.graphs_built",
+    # Re-routes answered from the reroute memo (DESIGN.md §5).
+    "route.reroutes_skipped",
     # Selection-key effort (DESIGN.md §5): half recomputations, of which
     # delay halves (path search + STA evaluation).
     "route.score_cache_miss",
