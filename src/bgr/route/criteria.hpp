@@ -62,19 +62,26 @@ struct SelectionKey {
   friend bool operator==(const SelectionKey&, const SelectionKey&) = default;
 };
 
-/// Lexicographic comparison under the given tier order. Returns true when
-/// `a` should be deleted in preference to `b`.
-[[nodiscard]] inline bool key_less(const SelectionKey& a, const SelectionKey& b,
-                                   CriteriaOrder order) {
-  auto cmp_delay_tail = [](const SelectionKey& x, const SelectionKey& y,
-                           bool with_cd) -> int {
+/// Lexicographic three-way comparison under the given tier order: negative
+/// when `a` should be deleted in preference to `b`, positive when `b`
+/// should, 0 for keys equal in every tier. The first tier holding a NaN
+/// orders neither key first (0).
+[[nodiscard]] inline int key_compare(const SelectionKey& a,
+                                     const SelectionKey& b,
+                                     CriteriaOrder order) {
+  constexpr int kUnordered = 2;
+  auto cmp_double = [](double x, double y) -> int {
+    if (x < y) return -1;
+    if (y < x) return 1;
+    return x == y ? 0 : kUnordered;
+  };
+  auto cmp_delay_tail = [&](const SelectionKey& x, const SelectionKey& y,
+                            bool with_cd) -> int {
     if (with_cd && x.critical_count != y.critical_count)
       return x.critical_count < y.critical_count ? -1 : 1;
-    if (x.global_delay != y.global_delay)
-      return x.global_delay < y.global_delay ? -1 : 1;
-    if (x.local_delay != y.local_delay)
-      return x.local_delay < y.local_delay ? -1 : 1;
-    return 0;
+    if (const int c = cmp_double(x.global_delay, y.global_delay); c != 0)
+      return c;
+    return cmp_double(x.local_delay, y.local_delay);
   };
   auto cmp_density = [](const SelectionKey& x, const SelectionKey& y) -> int {
     if (x.branch != y.branch) return x.branch < y.branch ? -1 : 1;
@@ -97,8 +104,14 @@ struct SelectionKey {
       if (c == 0) c = cmp_delay_tail(a, b, /*with_cd=*/false);
     }
   }
-  if (c != 0) return c < 0;
-  return a.neg_length < b.neg_length;
+  if (c == 0) c = cmp_double(a.neg_length, b.neg_length);
+  return c == kUnordered ? 0 : c;
+}
+
+/// Returns true when `a` should be deleted in preference to `b`.
+[[nodiscard]] inline bool key_less(const SelectionKey& a, const SelectionKey& b,
+                                   CriteriaOrder order) {
+  return key_compare(a, b, order) < 0;
 }
 
 }  // namespace bgr

@@ -18,8 +18,9 @@ namespace bgr {
 namespace {
 
 /// Router metrics. Deletions, reroutes, graph builds, score-cache *misses*
-/// (key halves recomputed) and delay-half evaluations are semantic: the
-/// dirty set re-keyed after each commit is a pure function of the commit.
+/// (key halves recomputed), delay-half evaluations and span re-reads are
+/// semantic: the dirty set re-keyed after each commit is a pure function of
+/// the commit.
 /// Cache *hits* (key halves reused when a candidate is re-keyed) are
 /// deterministic as well, but stay in the nondeterministic namespace so
 /// existing reports keep their layout.
@@ -39,6 +40,8 @@ struct RouteMetrics {
       "route.score_cache_hit", MetricScope::kNonDeterministic);
   Counter& key_delay_evals = MetricsRegistry::global().counter(
       "route.key_delay_evals", MetricScope::kSemantic);
+  Counter& key_span_reads = MetricsRegistry::global().counter(
+      "route.key_span_reads", MetricScope::kSemantic);
   Counter& feed_cells = MetricsRegistry::global().counter(
       "layout.feed_cells_added", MetricScope::kSemantic);
   Counter& widen_pitches = MetricsRegistry::global().counter(
@@ -232,31 +235,6 @@ bool GlobalRouter::delay_half_active(NetId net) const {
           !analyzer_->constraints_of_net(n.diff_partner).empty());
 }
 
-void GlobalRouter::fill_density_half(const RouteEdgeInfo& info,
-                                     SelectionKey& key) const {
-  auto fill = [&](std::int32_t channel, SelectionKey& k) {
-    const ChannelDensityParams& cp = density_->channel_params(channel);
-    const EdgeDensityParams ep = density_->edge_params(channel, info.span);
-    k.f_min = cp.c_min - ep.d_min;
-    k.n_min = cp.nc_min - ep.nd_min;
-    k.f_max = cp.c_max - ep.d_max;
-    k.n_max = cp.nc_max - ep.nd_max;
-  };
-  if (info.kind == RouteEdgeKind::kFeed) {
-    // A feedthrough edge touches both adjacent channels at one column;
-    // score it against the more critical of the two.
-    SelectionKey lo = key;
-    SelectionKey hi = key;
-    fill(info.channel, lo);
-    fill(info.channel + 1, hi);
-    const bool lo_worse = lo.f_min != hi.f_min ? lo.f_min < hi.f_min
-                                               : lo.f_max < hi.f_max;
-    key = lo_worse ? lo : hi;
-  } else {
-    fill(info.channel, key);
-  }
-}
-
 void GlobalRouter::fill_delay_half(NetId net, std::int32_t edge,
                                    SelectionKey& key) const {
   key.critical_count = 0;
@@ -348,28 +326,40 @@ void GlobalRouter::fold_tally(const SelectionTally& tally) {
   route_metrics().score_miss.add(tally.misses);
   route_metrics().score_hit.add(tally.hits);
   route_metrics().key_delay_evals.add(tally.delay_evals);
+  route_metrics().key_span_reads.add(tally.span_reads);
 }
 
 namespace {
 
 /// Reverse-map entry of the selection loop: one channel a candidate's
-/// density half reads, and the columns it reads there.
+/// density half reads, the columns it reads there, and the aggregates
+/// D_M, ND_M, D_m, ND_m over those columns as last read.
 struct ChannelRef {
   std::int32_t channel;
   std::int32_t lo;
   std::int32_t hi;
   std::int32_t slot;
+  EdgeDensityParams span;
 };
+static_assert(sizeof(ChannelRef) <= 32, "one ref per half cache line");
 
 /// The refs [begin, end) of one channel, sorted by span start. `max_len`
 /// bounds the overlap search; `seen` holds the channel aggregates every
-/// cached density half of the channel was computed from.
+/// cached density half of the channel was computed from, so a commit can
+/// tell whether they moved.
 struct ChannelRefs {
   std::int32_t channel;
   std::size_t begin;
   std::size_t end;
   std::int32_t max_len;
   ChannelDensityParams seen;
+};
+
+/// Positions of one candidate's refs in the sorted ref list: its channel
+/// and, for a feedthrough edge, the channel above (-1 otherwise).
+struct SlotRefs {
+  std::int32_t own = -1;
+  std::int32_t above = -1;
 };
 
 /// Slots [begin, end) of one candidate net; `round` dedups delay marking
@@ -381,9 +371,20 @@ struct NetSlots {
   std::int64_t round;
 };
 
-/// Dirty bits of a candidate: its delay half, its density half.
+/// Dirty bits of a candidate: its delay half; its density half; and,
+/// with the density half, the cached span aggregates of its refs.
 constexpr char kDelayDirty = 1;
 constexpr char kDensityDirty = 2;
+constexpr char kSpanDirty = 4;
+
+/// One channel's density tiers: channel aggregates minus span aggregates.
+void fill_density_tiers(const ChannelDensityParams& cp,
+                        const EdgeDensityParams& ep, SelectionKey& key) {
+  key.f_min = cp.c_min - ep.d_min;
+  key.n_min = cp.nc_min - ep.nd_min;
+  key.f_max = cp.c_max - ep.d_max;
+  key.n_max = cp.nc_max - ep.nd_max;
+}
 
 }  // namespace
 
@@ -413,13 +414,15 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
   // channel → candidates, for the density half.
   std::vector<ChannelRef> refs;
   std::vector<ChannelRefs> channels;
+  std::vector<SlotRefs> slot_refs;
   if (options_.use_density_criteria) {
     for (std::int32_t s = 0; s < index.slot_count(); ++s) {
       const RouteEdgeInfo& info = graphs_[index.net(s)]->edge_info(index.edge(s));
-      refs.push_back(ChannelRef{info.channel, info.span.lo, info.span.hi, s});
+      refs.push_back(
+          ChannelRef{info.channel, info.span.lo, info.span.hi, s, {}});
       if (info.kind == RouteEdgeKind::kFeed) {
         refs.push_back(
-            ChannelRef{info.channel + 1, info.span.lo, info.span.hi, s});
+            ChannelRef{info.channel + 1, info.span.lo, info.span.hi, s, {}});
       }
     }
     std::sort(refs.begin(), refs.end(),
@@ -427,6 +430,11 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
                 return a.channel != b.channel ? a.channel < b.channel
                                               : a.lo < b.lo;
               });
+    slot_refs.resize(static_cast<std::size_t>(index.slot_count()));
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      SlotRefs& sr = slot_refs[static_cast<std::size_t>(refs[i].slot)];
+      (sr.own < 0 ? sr.own : sr.above) = static_cast<std::int32_t>(i);
+    }
     for (std::size_t i = 0; i < refs.size();) {
       ChannelRefs cr{refs[i].channel, i, i, 0,
                      density_->channel_params(refs[i].channel)};
@@ -461,9 +469,36 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     }
     dirty.push_back(s);
     dirty_bits[static_cast<std::size_t>(s)] = static_cast<char>(
-        (options_.use_density_criteria ? kDensityDirty : 0) |
+        (options_.use_density_criteria ? kDensityDirty | kSpanDirty : 0) |
         (delay_active[static_cast<std::size_t>(s)] != 0 ? kDelayDirty : 0));
   }
+
+  // The density half of a candidate: its channel aggregates (always
+  // current) minus its cached span aggregates, re-read under kSpanDirty.
+  // A feedthrough edge touches both adjacent channels at one column and is
+  // scored against the more critical of the two.
+  auto fill_density_half = [&](std::int32_t s, bool span, SelectionKey& key) {
+    const SlotRefs& sr = slot_refs[static_cast<std::size_t>(s)];
+    ChannelRef& own = refs[static_cast<std::size_t>(sr.own)];
+    ChannelRef* above =
+        sr.above < 0 ? nullptr : &refs[static_cast<std::size_t>(sr.above)];
+    if (span) {
+      ++tally.span_reads;
+      own.span = density_->edge_params(own.channel, {own.lo, own.hi});
+      if (above != nullptr) {
+        above->span =
+            density_->edge_params(above->channel, {above->lo, above->hi});
+      }
+    }
+    fill_density_tiers(density_->channel_params(own.channel), own.span, key);
+    if (above == nullptr) return;
+    SelectionKey hi = key;
+    fill_density_tiers(density_->channel_params(above->channel), above->span,
+                       hi);
+    const bool lo_worse = key.f_min != hi.f_min ? key.f_min < hi.f_min
+                                                : key.f_max < hi.f_max;
+    if (!lo_worse) key = hi;
+  };
 
   // Re-keys the dirty set: recomputes exactly the flagged halves, keeps the
   // rest (and the static tiers) from the cached key, and tallies what the
@@ -472,17 +507,18 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     for (const std::int32_t s : dirty) {
       char& bits = dirty_bits[static_cast<std::size_t>(s)];
       const bool density = (bits & kDensityDirty) != 0;
+      const bool span = (bits & kSpanDirty) != 0;
       const bool delay = (bits & kDelayDirty) != 0;
       bits = 0;
       SelectionKey key = index.key(s);
       const NetId net = index.net(s);
       const std::int32_t edge = index.edge(s);
-      const RouteEdgeInfo& info = graphs_[net]->edge_info(edge);
       if (!index.live(s)) {
+        const RouteEdgeInfo& info = graphs_[net]->edge_info(edge);
         key.neg_length = -info.length_um;
         key.branch = info.is_trunk() ? 0 : 1;
       }
-      if (density) fill_density_half(info, key);
+      if (density) fill_density_half(s, span, key);
       if (delay) fill_delay_half(net, edge, key);
       tally.misses += (density ? 1 : 0) + (delay ? 1 : 0);
       tally.delay_evals += delay ? 1 : 0;
@@ -549,17 +585,29 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
         }
       }
     }
-    // Density: when the channel aggregates moved, every candidate of the
-    // channel re-reads its density half; otherwise only the candidates
-    // whose span overlaps a changed interval.
+    // Density: the candidates whose span overlaps a changed interval
+    // re-read their span aggregates; when the channel aggregates moved,
+    // every other candidate of the channel re-keys from its cached ones.
     std::sort(changes.begin(), changes.end(),
               [](const DensityChange& a, const DensityChange& b) {
-                return a.channel < b.channel;
+                return a.channel != b.channel ? a.channel < b.channel
+                                              : a.span.lo < b.span.lo;
               });
     for (std::size_t i = 0; i < changes.size();) {
       const std::int32_t c = changes[i].channel;
-      std::size_t j = i;
-      while (j < changes.size() && changes[j].channel == c) ++j;
+      // Merge the channel's changes in place into disjoint intervals
+      // [i, j), ascending by start and therefore by end.
+      std::size_t j = i + 1;
+      std::size_t next = i + 1;
+      for (; next < changes.size() && changes[next].channel == c; ++next) {
+        IntInterval& last = changes[j - 1].span;
+        const IntInterval span = changes[next].span;
+        if (span.lo <= last.hi) {
+          last.hi = std::max(last.hi, span.hi);
+        } else {
+          changes[j++].span = span;
+        }
+      }
       const auto it = std::lower_bound(
           channels.begin(), channels.end(), c,
           [](const ChannelRefs& a, std::int32_t b) { return a.channel < b; });
@@ -569,8 +617,15 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
         const ChannelDensityParams& now = density_->channel_params(c);
         if (now != it->seen) {
           it->seen = now;
+          // One pass: refs ascend by start, so the first interval ending
+          // at or after a ref's start only moves forward.
+          std::size_t k = i;
           for (auto r = first; r != last; ++r) {
-            if (index.live(r->slot)) mark(r->slot, kDensityDirty);
+            if (!index.live(r->slot)) continue;
+            while (k < j && changes[k].span.hi < r->lo) ++k;
+            const bool overlaps = k < j && changes[k].span.lo <= r->hi;
+            mark(r->slot,
+                 overlaps ? kDensityDirty | kSpanDirty : kDensityDirty);
           }
         } else {
           for (std::size_t k = i; k < j; ++k) {
@@ -580,13 +635,13 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
                 [](const ChannelRef& a, std::int32_t b) { return a.lo < b; });
             for (; r != last && r->lo <= span.hi; ++r) {
               if (r->hi >= span.lo && index.live(r->slot)) {
-                mark(r->slot, kDensityDirty);
+                mark(r->slot, kDensityDirty | kSpanDirty);
               }
             }
           }
         }
       }
-      i = j;
+      i = next;
     }
   }
   return tally;

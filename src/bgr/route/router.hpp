@@ -230,13 +230,12 @@ class GlobalRouter {
   void refresh_net_estimate(NetId net,
                             TimingAnalyzer::UpdateSlot* slot = nullptr);
   [[nodiscard]] std::int32_t net_density_width(NetId net) const;
-  /// The two halves of a candidate's SelectionKey, cached and invalidated
-  /// separately by the selection loop. The density half (F_m, N_m, F_M,
-  /// N_M) reads only the density charts of the edge's channel(s): the
-  /// channel aggregates and the chart maxima over the edge's span. The
-  /// delay half (C_d, Gl, LD: path search + STA evaluation) reads only the
-  /// member nets' graphs and estimates and their constraints' timing state.
-  void fill_density_half(const RouteEdgeInfo& info, SelectionKey& key) const;
+  /// The delay half (C_d, Gl, LD: path search + STA evaluation) of a
+  /// candidate's SelectionKey. It reads only the member nets' graphs and
+  /// estimates and their constraints' timing state. The selection loop
+  /// caches it apart from the density half (F_m, N_m, F_M, N_M), which
+  /// reads only the density charts of the edge's channel(s): the channel
+  /// aggregates and the chart maxima over the edge's span.
   void fill_delay_half(NetId net, std::int32_t edge, SelectionKey& key) const;
   /// Whether the delay half of `net`'s candidates can be nonzero at all.
   [[nodiscard]] bool delay_half_active(NetId net) const;
@@ -261,6 +260,7 @@ class GlobalRouter {
     std::int64_t misses = 0;       // key halves recomputed
     std::int64_t hits = 0;         // key halves served from cache
     std::int64_t delay_evals = 0;  // delay halves recomputed
+    std::int64_t span_reads = 0;   // density halves that re-read spans
   };
   static void fold_tally(const SelectionTally& tally);
   using CommitFn =

@@ -10,8 +10,7 @@ int compare_selection(const SelectionKey& ka, const std::string& na,
                       std::int32_t ea, const SelectionKey& kb,
                       const std::string& nb, std::int32_t eb,
                       CriteriaOrder order) {
-  if (key_less(ka, kb, order)) return -1;
-  if (key_less(kb, ka, order)) return 1;
+  if (const int c = key_compare(ka, kb, order); c != 0) return c;
   if (&na != &nb) {  // one net's candidates share one name string
     if (natural_less(na, nb)) return -1;
     if (natural_less(nb, na)) return 1;

@@ -147,6 +147,8 @@ TEST(Criteria, StrictWeakOrderingOnSamples) {
         if (key_less(a, b, order)) {
           EXPECT_FALSE(key_less(b, a, order));
         }
+        EXPECT_EQ(key_compare(a, b, order), -key_compare(b, a, order));
+        EXPECT_EQ(key_compare(a, b, order) == 0, a == b);
         for (const auto& c : keys) {
           if (key_less(a, b, order) && key_less(b, c, order)) {
             EXPECT_TRUE(key_less(a, c, order));
@@ -155,6 +157,23 @@ TEST(Criteria, StrictWeakOrderingOnSamples) {
       }
     }
   }
+}
+
+TEST(Criteria, KeyCompareTreatsNanTierAsUnordered) {
+  // A NaN delay tier orders neither key first, whatever the later tiers
+  // say: both directions compare 0, as two key_less calls always did.
+  SelectionKey a = base_key();
+  SelectionKey b = base_key();
+  a.global_delay = std::numeric_limits<double>::quiet_NaN();
+  b.f_min = a.f_min + 1;
+  for (const auto order : {CriteriaOrder::kDelayFirst, CriteriaOrder::kAreaFirst}) {
+    EXPECT_FALSE(key_less(a, b, order) && key_less(b, a, order));
+  }
+  EXPECT_EQ(key_compare(a, b, CriteriaOrder::kDelayFirst), 0);
+  EXPECT_EQ(key_compare(b, a, CriteriaOrder::kDelayFirst), 0);
+  // Under kAreaFirst the density tiers come first and decide.
+  EXPECT_LT(key_compare(a, b, CriteriaOrder::kAreaFirst), 0);
+  EXPECT_GT(key_compare(b, a, CriteriaOrder::kAreaFirst), 0);
 }
 
 // --------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 // the full-rescan selection loops; SelectionIndex picks the argmin of the
 // same total order, so the sequence — global loop, shard workers and the
 // reroute reductions alike — must be reproduced bit for bit, at any
-// thread count.
+// thread count. Option-keyed entries pin the orders the default options
+// do not reach: unconstrained runs, whose keys are density only, and the
+// Elmore-RC delay half.
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -57,10 +59,23 @@ std::map<std::string, std::pair<std::int64_t, std::string>> golden() {
   return out;
 }
 
-Digest route_digest(const std::string& dataset, std::int32_t threads) {
+/// Golden key "<dataset>" or "<dataset>/<option>", option one of
+/// `unconstrained` (use_constraints = false) or `rc` (Elmore-RC delay).
+Digest route_digest(const std::string& key, std::int32_t threads) {
+  const auto slash = key.find('/');
+  const std::string dataset = key.substr(0, slash);
+  const std::string option =
+      slash == std::string::npos ? std::string() : key.substr(slash + 1);
   Dataset ds = make_dataset(dataset);
   RouterOptions options;
   options.threads = threads;
+  if (option == "unconstrained") {
+    options.use_constraints = false;
+  } else if (option == "rc") {
+    options.delay_model = DelayModel::kElmoreRC;
+  } else {
+    EXPECT_TRUE(option.empty()) << "unknown digest option " << option;
+  }
   Digest digest;
   const Netlist& netlist = ds.netlist;
   options.deletion_observer = [&](NetId net, std::int32_t edge) {
@@ -74,12 +89,12 @@ Digest route_digest(const std::string& dataset, std::int32_t threads) {
 
 TEST(DeletionDigest, MatchesGoldenAtOneAndFourThreads) {
   const auto expected = golden();
-  ASSERT_EQ(expected.size(), 4u) << "golden file missing or truncated";
-  for (const auto& [dataset, pin] : expected) {
+  ASSERT_EQ(expected.size(), 7u) << "golden file missing or truncated";
+  for (const auto& [key, pin] : expected) {
     for (const std::int32_t threads : {1, 4}) {
-      const Digest d = route_digest(dataset, threads);
-      EXPECT_EQ(d.deletions, pin.first) << dataset << " @" << threads;
-      EXPECT_EQ(d.hex(), pin.second) << dataset << " @" << threads;
+      const Digest d = route_digest(key, threads);
+      EXPECT_EQ(d.deletions, pin.first) << key << " @" << threads;
+      EXPECT_EQ(d.hex(), pin.second) << key << " @" << threads;
     }
   }
 }

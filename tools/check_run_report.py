@@ -46,9 +46,11 @@ ROUTE_SEMANTIC_METRICS = (
     # Re-routes answered from the reroute memo (DESIGN.md §5).
     "route.reroutes_skipped",
     # Selection-key effort (DESIGN.md §5): half recomputations, of which
-    # delay halves (path search + STA evaluation).
+    # delay halves (path search + STA evaluation), and the density halves
+    # that re-read their span aggregates.
     "route.score_cache_miss",
     "route.key_delay_evals",
+    "route.key_span_reads",
     "path.searches",
     "path.pops",
     "path.relaxations",
