@@ -45,6 +45,34 @@ void SmallGraph::remove_vertex(std::int32_t v) {
   --alive_vertices_;
 }
 
+std::vector<bool> SmallGraph::alive_flags() const {
+  std::vector<bool> flags = vertex_alive_;
+  flags.reserve(vertex_alive_.size() + edges_.size());
+  for (const Edge& ed : edges_) flags.push_back(ed.alive);
+  return flags;
+}
+
+void SmallGraph::restore_alive(const std::vector<bool>& flags) {
+  BGR_CHECK(flags.size() >= vertex_alive_.size() + edges_.size());
+  alive_vertices_ = 0;
+  for (std::size_t v = 0; v < vertex_alive_.size(); ++v) {
+    vertex_alive_[v] = flags[v];
+    alive_vertices_ += flags[v] ? 1 : 0;
+    adjacency_[v].clear();
+  }
+  alive_edges_ = 0;
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    Edge& ed = edges_[e];
+    ed.alive = flags[vertex_alive_.size() + e];
+    if (!ed.alive) continue;
+    BGR_CHECK(vertex_alive(ed.u) && vertex_alive(ed.v));
+    const auto id = static_cast<std::int32_t>(e);
+    adjacency_[static_cast<std::size_t>(ed.u)].push_back(id);
+    adjacency_[static_cast<std::size_t>(ed.v)].push_back(id);
+    ++alive_edges_;
+  }
+}
+
 bool SmallGraph::connects(const std::vector<std::int32_t>& required) const {
   if (required.empty()) return true;
   const auto comp = component_of(required.front());

@@ -35,6 +35,16 @@ class SmallGraph {
   /// Removes a vertex; all incident edges must already be removed.
   void remove_vertex(std::int32_t v);
 
+  /// Alive flags of every vertex, then of every edge, by id.
+  [[nodiscard]] std::vector<bool> alive_flags() const;
+  /// Restores the alive flags from a snapshot that starts with this
+  /// graph's alive_flags() (entries past them are the caller's and are
+  /// ignored) and rebuilds each adjacency list from the alive edges in
+  /// edge-id order. add_edge appends in id order and remove_edge erases
+  /// in place, so a graph restored to the flags it had after some
+  /// removals has exactly the adjacency lists it had then.
+  void restore_alive(const std::vector<bool>& flags);
+
   [[nodiscard]] std::int32_t vertex_count() const {
     return static_cast<std::int32_t>(vertex_alive_.size());
   }

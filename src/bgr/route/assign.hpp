@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -54,12 +55,26 @@ struct AssignmentOutcome {
 /// column per side. Mutates the placement's pad sites.
 void assign_external_pins(const Netlist& netlist, Placement& placement);
 
+/// Net processing order of the feedthrough assignment: ascending `order`
+/// value, wide (multi-pitch) groups first on ties so they still find
+/// contiguous columns, then the canonical name-based order
+/// (natural_order.hpp). The tie keys — unlike the raw ids — survive a
+/// relabeling of the netlist, so the assignment (and everything downstream
+/// of it) is invariant under net/cell-id permutation. The name order
+/// matters most in the unconstrained baseline, where every key ties and it
+/// alone sets the sweep.
+[[nodiscard]] std::vector<NetId> feedthrough_net_order(
+    const Netlist& netlist, const IdVector<NetId, double>& order);
+
 /// One round of feedthrough assignment. Nets are processed in ascending
 /// `order` value (static slack); each net searches outward from the centre
 /// of its terminal columns, preferring vertical alignment with the
-/// previously assigned row. When `respect_flags` is set, width-flagged
-/// columns are only usable by matching-width nets (and are preferred by
-/// them) — the second-round rule of §4.3.
+/// previously assigned row. Fully width-flagged groups are preferred by
+/// matching-width nets at equal distance; when `respect_flags` is set,
+/// width-flagged columns are only usable by matching-width nets, which
+/// prefer them up to 65 columns beyond the nearest usable group — the
+/// second-round rule of §4.3. Each query costs near-constant amortized
+/// time per probed group (per-row union-finds over the usable columns).
 [[nodiscard]] AssignmentOutcome assign_feedthroughs(
     const Netlist& netlist, const Placement& placement,
     const IdVector<NetId, double>& order, bool respect_flags);
@@ -68,7 +83,9 @@ void assign_external_pins(const Netlist& netlist, Placement& placement);
 /// on shortfall, flag the successful multi-pitch positions, insert feed
 /// cells (widening the chip), and re-assign with flags until complete.
 /// Returns the final assignment; `placement` is replaced when feed cells
-/// were inserted and `netlist` gains the FEED cells.
+/// were inserted and `netlist` gains the FEED cells. `cancel_requested`
+/// (optional) is polled before every round; a true return throws
+/// CancelledError.
 struct AssignmentPipelineResult {
   FeedthroughAssignment assignment;
   std::int32_t feed_cells_added = 0;
@@ -78,6 +95,7 @@ struct AssignmentPipelineResult {
 
 [[nodiscard]] AssignmentPipelineResult run_assignment_pipeline(
     Netlist& netlist, Placement& placement,
-    const IdVector<NetId, double>& order);
+    const IdVector<NetId, double>& order,
+    const std::function<bool()>& cancel_requested = {});
 
 }  // namespace bgr

@@ -32,8 +32,13 @@ struct RouteMetrics {
   /// Re-routes answered from the reroute memo (counted in `reroutes` too).
   Counter& reroutes_skipped = MetricsRegistry::global().counter(
       "route.reroutes_skipped", MetricScope::kSemantic);
+  /// Routing graphs constructed: once per net, in build_graphs.
   Counter& graphs_built = MetricsRegistry::global().counter(
       "route.graphs_built", MetricScope::kSemantic);
+  /// Graphs reset to their construction-time state, one per member of an
+  /// executed re-route.
+  Counter& graph_resets = MetricsRegistry::global().counter(
+      "route.graph_resets", MetricScope::kSemantic);
   Counter& score_miss = MetricsRegistry::global().counter(
       "route.score_cache_miss", MetricScope::kSemantic);
   Counter& score_hit = MetricsRegistry::global().counter(
@@ -908,18 +913,10 @@ void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
   for (const NetId member : members) {
     before.push_back(graphs_[member]->alive_edges());
     unregister_graph_density(member);
-    if (member == net) {
-      graphs_[member] = std::make_unique<RoutingGraph>(netlist_, placement_,
-                                                       tech_, *assignment_,
-                                                       member);
-    } else {
-      graphs_[member] = std::make_unique<RoutingGraph>(
-          netlist_, placement_, tech_, *assignment_, member, net, 1);
-    }
-    const std::vector<double> weights = sink_weights_for(member);
-    graphs_[member]->set_path_search(path_engine_.get(), &weights);
-    route_metrics().graphs_built.add(1);
-    route_metrics().graph_edges.record(graphs_[member]->graph().edge_count());
+    // The graph's inputs (netlist, placement, assignment) are fixed after
+    // setup, so its construction-time state is what a rebuild would give.
+    graphs_[member]->reset();
+    route_metrics().graph_resets.add(1);
     register_graph_density(member);
     refresh_net_estimate(member);
   }
@@ -1170,19 +1167,26 @@ RouteOutcome GlobalRouter::run() {
     }
   };
   poll_cancel("netlist validation");
-  netlist_.validate();
-
-  delay_graph_ = std::make_unique<DelayGraph>(netlist_);
-  analyzer_ = std::make_unique<TimingAnalyzer>(
-      *delay_graph_,
-      options_.use_constraints ? constraints_ : std::vector<PathConstraint>{},
-      exec_.get(), options_.incremental_sta);
+  {
+    ScopedSpan span("validate", "setup");
+    netlist_.validate();
+  }
 
   // §3.1: net ordering by static slack (zero interconnection capacitance —
   // caps are zero-initialised), then external pin & feedthrough assignment
-  // with feed-cell insertion (§4.3).
-  const auto slacks = analyzer_->net_slacks();
-  auto pipeline = run_assignment_pipeline(netlist_, placement_, slacks);
+  // with feed-cell insertion (§4.3), which polls cancel before each round.
+  IdVector<NetId, double> slacks;
+  {
+    ScopedSpan span("sta_init", "setup");
+    delay_graph_ = std::make_unique<DelayGraph>(netlist_);
+    analyzer_ = std::make_unique<TimingAnalyzer>(
+        *delay_graph_,
+        options_.use_constraints ? constraints_ : std::vector<PathConstraint>{},
+        exec_.get(), options_.incremental_sta);
+    slacks = analyzer_->net_slacks();
+  }
+  auto pipeline = run_assignment_pipeline(netlist_, placement_, slacks,
+                                          options_.cancel_requested);
   assignment_ =
       std::make_unique<FeedthroughAssignment>(std::move(pipeline.assignment));
   feed_cells_added_ = pipeline.feed_cells_added;

@@ -141,9 +141,26 @@ RoutingGraph::RoutingGraph(const Netlist& netlist, const Placement& placement,
     }
   }
   recompute_bridges();
+  initial_flags_ = graph_.alive_flags();
+  initial_flags_.insert(initial_flags_.end(), bridge_.begin(), bridge_.end());
 }
 
 void RoutingGraph::recompute_bridges() { bridge_ = graph_.bridges(); }
+
+void RoutingGraph::reset() {
+  graph_.restore_alive(initial_flags_);
+  bridge_.assign(initial_flags_.end() - graph_.edge_count(),
+                 initial_flags_.end());
+  refresh_search_cache();
+}
+
+void RoutingGraph::refresh_search_cache() {
+  if (path_engine_ != nullptr &&
+      path_engine_->backend() != PathSearchBackend::kDijkstra) {
+    path_engine_->refresh_cache(graph_, driver_vertex_, terminal_vertices_,
+                                &search_cache_, &sink_weights_);
+  }
+}
 
 std::vector<std::int32_t> RoutingGraph::non_bridge_edges() const {
   std::vector<std::int32_t> out;
@@ -199,11 +216,7 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e) {
   // The graph changed: rebuild the no-skip reference search the engine
   // answers skip-edge queries against. delete_edge runs only at serial
   // commit points, so no scorer is reading the cache concurrently.
-  if (path_engine_ != nullptr &&
-      path_engine_->backend() != PathSearchBackend::kDijkstra) {
-    path_engine_->refresh_cache(graph_, driver_vertex_, terminal_vertices_,
-                                &search_cache_, &sink_weights_);
-  }
+  refresh_search_cache();
   return result;
 }
 
@@ -247,9 +260,8 @@ void RoutingGraph::set_path_search(PathSearchEngine* engine,
         engine->backend() == PathSearchBackend::kSteiner) {
       sink_weights_ = *sink_weights;
     }
-    engine->refresh_cache(graph_, driver_vertex_, terminal_vertices_,
-                          &search_cache_, &sink_weights_);
   }
+  refresh_search_cache();
 }
 
 std::vector<std::int32_t> RoutingGraph::tentative_tree_edges(

@@ -87,6 +87,21 @@ class RoutingGraph {
   void set_path_search(PathSearchEngine* engine,
                        const std::vector<double>* sink_weights = nullptr);
 
+  /// Returns the graph to its state right after construction: the alive
+  /// flags and bridge flags snapshotted then, adjacency lists rebuilt in
+  /// edge-id order (identical to a fresh build's), and — with an engine
+  /// attached — the SearchCache rebuilt through it. Geometry, terminals
+  /// and the engine attachment are kept. Equivalent to constructing the
+  /// graph anew from the same (fixed) netlist, placement and assignment,
+  /// without the point map, the pruning pass or the bridge search.
+  void reset();
+
+  /// The no-skip reference search of the attached engine (empty and
+  /// invalid without one, or under the plain Dijkstra backend).
+  [[nodiscard]] const SearchCache& search_cache() const {
+    return search_cache_;
+  }
+
   [[nodiscard]] bool is_bridge(std::int32_t e) const {
     return bridge_[static_cast<std::size_t>(e)];
   }
@@ -151,6 +166,9 @@ class RoutingGraph {
 
  private:
   void recompute_bridges();
+  /// Rebuilds the SearchCache through the attached engine (no-op without
+  /// one or under the plain Dijkstra backend).
+  void refresh_search_cache();
 
   NetId net_;
   SmallGraph graph_;
@@ -160,6 +178,9 @@ class RoutingGraph {
   std::int32_t driver_vertex_ = -1;
   std::vector<bool> bridge_;
   std::vector<bool> required_;  // vertex must stay (terminal)
+  /// Construction-time flags restored by reset(), in one allocation:
+  /// graph_.alive_flags() (vertices, then edges), then the bridge flags.
+  std::vector<bool> initial_flags_;
   double channel_depth_est_um_ = 0.0;
   PathSearchEngine* path_engine_ = nullptr;  // not owned
   std::vector<double> sink_weights_;  // steiner only; aligned with terminals

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bgr/gen/generator.hpp"
+#include "bgr/obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace bgr {
@@ -176,6 +177,39 @@ TEST_P(RouterProperty, CancelRequestStopsAtPhaseBoundary) {
   GlobalRouter router(nl, dataset_.placement, dataset_.tech,
                       dataset_.constraints, options);
   EXPECT_THROW((void)router.run(), CancelledError);
+  EXPECT_EQ(router.run_state(), GlobalRouter::RunState::kRunning);
+}
+
+TEST_P(RouterProperty, CancelDuringAssignmentStopsBeforeGraphBuild) {
+  // Starve the placement of feedthroughs so assignment needs a feed-cell
+  // round, and flip the predicate at the pipeline's second round poll
+  // (poll 1 precedes validation, poll 2 the first round): the run must
+  // stop inside the setup front, after feed insertion, before any
+  // routing graph is built.
+  CircuitSpec spec = testutil::small_spec(GetParam());
+  spec.gap_fraction = 0.0;
+  spec.feed_every = 60;
+  Dataset ds = generate_circuit(spec);
+  const std::int32_t cells_before = ds.netlist.cell_count();
+  Counter& built = MetricsRegistry::global().counter("route.graphs_built",
+                                                     MetricScope::kSemantic);
+  const std::int64_t built_before = built.value();
+  RouterOptions options;
+  std::int32_t polls = 0;
+  options.cancel_requested = [&polls] { return ++polls > 2; };
+  GlobalRouter router(ds.netlist, ds.placement, ds.tech, ds.constraints,
+                      options);
+  try {
+    (void)router.run();
+    FAIL() << "run() must throw CancelledError";
+  } catch (const CancelledError& e) {
+    EXPECT_NE(std::string(e.what()).find("feedthrough assignment round 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(polls, 3);
+  EXPECT_GT(ds.netlist.cell_count(), cells_before) << "no feed round ran";
+  EXPECT_EQ(built.value(), built_before) << "graphs built after cancel";
   EXPECT_EQ(router.run_state(), GlobalRouter::RunState::kRunning);
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "bgr/common/rng.hpp"
+#include "bgr/gen/generator.hpp"
+#include "bgr/route/router.hpp"
 #include "test_util.hpp"
 
 namespace bgr {
@@ -191,6 +196,153 @@ TEST(RoutingGraph, DifferentialShadowMirrors) {
     EXPECT_EQ(primary.edge_info(e).span.lo + 1, shadow.edge_info(e).span.lo);
     EXPECT_EQ(primary.edge_info(e).span.hi + 1, shadow.edge_info(e).span.hi);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// reset(): a graph reset mid-routing must equal a fresh build bit for bit.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_graph(const RoutingGraph& got, const RoutingGraph& want,
+                       const std::string& where) {
+  const SmallGraph& a = got.graph();
+  const SmallGraph& b = want.graph();
+  ASSERT_EQ(a.vertex_count(), b.vertex_count()) << where;
+  ASSERT_EQ(a.edge_count(), b.edge_count()) << where;
+  EXPECT_EQ(a.alive_vertex_count(), b.alive_vertex_count()) << where;
+  EXPECT_EQ(a.alive_edge_count(), b.alive_edge_count()) << where;
+  EXPECT_EQ(got.terminal_vertices(), want.terminal_vertices()) << where;
+  EXPECT_EQ(got.driver_vertex(), want.driver_vertex()) << where;
+  for (std::int32_t v = 0; v < a.vertex_count(); ++v) {
+    ASSERT_EQ(a.vertex_alive(v), b.vertex_alive(v)) << where << " vertex " << v;
+    // Adjacency order drives the bridge DFS and the search's tie-breaks.
+    ASSERT_EQ(a.incident_edges(v), b.incident_edges(v))
+        << where << " adjacency of vertex " << v;
+    const RouteVertexInfo& vi = got.vertex_info(v);
+    const RouteVertexInfo& wi = want.vertex_info(v);
+    EXPECT_TRUE(vi.kind == wi.kind && vi.terminal == wi.terminal &&
+                vi.channel == wi.channel && vi.x == wi.x)
+        << where << " vertex info " << v;
+  }
+  for (std::int32_t e = 0; e < a.edge_count(); ++e) {
+    const SmallGraph::Edge& x = a.edge(e);
+    const SmallGraph::Edge& y = b.edge(e);
+    ASSERT_TRUE(x.u == y.u && x.v == y.v && x.alive == y.alive &&
+                bits(x.weight) == bits(y.weight))
+        << where << " edge " << e;
+    EXPECT_EQ(got.is_bridge(e), want.is_bridge(e)) << where << " bridge " << e;
+    const RouteEdgeInfo& ei = got.edge_info(e);
+    const RouteEdgeInfo& fi = want.edge_info(e);
+    EXPECT_TRUE(ei.kind == fi.kind && ei.channel == fi.channel &&
+                ei.span.lo == fi.span.lo && ei.span.hi == fi.span.hi &&
+                bits(ei.length_um) == bits(fi.length_um))
+        << where << " edge info " << e;
+  }
+  const SearchCache& c = got.search_cache();
+  const SearchCache& d = want.search_cache();
+  EXPECT_EQ(c.valid, d.valid) << where;
+  ASSERT_EQ(c.dist.size(), d.dist.size()) << where;
+  for (std::size_t i = 0; i < c.dist.size(); ++i) {
+    EXPECT_EQ(bits(c.dist[i]), bits(d.dist[i])) << where << " dist " << i;
+  }
+  EXPECT_EQ(c.seq, d.seq) << where;
+  EXPECT_EQ(c.settle_order, d.settle_order) << where;
+  EXPECT_EQ(c.tree, d.tree) << where;
+  EXPECT_EQ(c.in_tree, d.in_tree) << where;
+}
+
+TEST(RoutingGraphReset, CyclesOfDeletionAndResetMatchFreshBuilds) {
+  const Dataset ds = make_dataset("C1P1");
+  Netlist nl = ds.netlist;
+  Placement pl = ds.placement;
+  const auto pipeline = run_assignment_pipeline(
+      nl, pl,
+      IdVector<NetId, double>(static_cast<std::size_t>(nl.net_count()), 0.0));
+  for (const PathSearchBackend backend :
+       {PathSearchBackend::kCached, PathSearchBackend::kDijkstra}) {
+    PathSearchEngine engine(backend, nullptr);
+    Rng rng(17);
+    std::int32_t resets = 0;
+    for (const NetId n : nl.nets()) {
+      const Net& net = nl.net(n);
+      const bool shadow = net.is_differential() && !net.diff_primary;
+      auto build = [&] {
+        RoutingGraph g =
+            shadow ? RoutingGraph(nl, pl, ds.tech, pipeline.assignment, n,
+                                  net.diff_partner, 1)
+                   : RoutingGraph(nl, pl, ds.tech, pipeline.assignment, n);
+        g.set_path_search(&engine);
+        return g;
+      };
+      const RoutingGraph fresh = build();
+      if (fresh.non_bridge_edges().empty()) continue;
+      RoutingGraph g = build();
+      for (std::int32_t cycle = 0; cycle < 3; ++cycle) {
+        // Delete a random prefix of the way to a tree (the last cycle
+        // goes all the way), then reset.
+        const std::int32_t steps = cycle == 2 ? 1 << 30 : rng.uniform_i32(1, 6);
+        for (std::int32_t k = 0; k < steps && !g.is_tree(); ++k) {
+          const auto candidates = g.non_bridge_edges();
+          const auto pick = rng.uniform_i32(
+              0, static_cast<std::int32_t>(candidates.size()) - 1);
+          (void)g.delete_edge(candidates[static_cast<std::size_t>(pick)]);
+        }
+        g.reset();
+        ++resets;
+        expect_same_graph(g, fresh, nl.net(n).name + " cycle " +
+                                        std::to_string(cycle));
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(resets, 0);
+  }
+}
+
+TEST(RoutingGraphReset, LiveRouterGraphsResetToFreshBuilds) {
+  // Reset copies of the router's own graphs at commit points of every
+  // phase (initial routing and the re-route phases), and once more at the
+  // end, and compare each with a fresh build over the router's final
+  // placement and assignment.
+  Dataset ds = generate_circuit(testutil::small_spec(71));
+  RouterOptions options;
+  options.shard_deletion = false;  // observer sees the live graphs
+  PathSearchEngine engine(PathSearchBackend::kCached, nullptr);
+  const GlobalRouter* router_ptr = nullptr;
+  std::int32_t commits = 0;
+  std::int32_t compared = 0;
+  auto compare = [&](const GlobalRouter& router, NetId n, const char* when) {
+    const Net& net = ds.netlist.net(n);
+    RoutingGraph live = router.net_graph(n);
+    live.set_path_search(&engine);
+    live.reset();
+    const bool shadow = net.is_differential() && !net.diff_primary;
+    RoutingGraph fresh =
+        shadow ? RoutingGraph(ds.netlist, router.placement(), ds.tech,
+                              router.assignment(), n, net.diff_partner, 1)
+               : RoutingGraph(ds.netlist, router.placement(), ds.tech,
+                              router.assignment(), n);
+    fresh.set_path_search(&engine);
+    expect_same_graph(live, fresh, net.name + " " + when);
+    ++compared;
+  };
+  options.deletion_observer = [&](NetId n, std::int32_t) {
+    if (++commits % 7 != 0) return;
+    compare(*router_ptr, n, "mid-routing");
+    const Net& net = ds.netlist.net(n);
+    if (net.is_differential()) {
+      compare(*router_ptr, net.diff_partner, "mid-routing");
+    }
+  };
+  GlobalRouter router(ds.netlist, ds.placement, ds.tech, ds.constraints,
+                      options);
+  router_ptr = &router;
+  const RouteOutcome outcome = router.run();
+  std::int64_t reroutes = 0;
+  for (const PhaseStats& ph : outcome.phases) reroutes += ph.reroutes;
+  EXPECT_GT(reroutes, 0) << "no re-route phase ran";
+  for (const NetId n : ds.netlist.nets()) compare(router, n, "final");
+  EXPECT_GT(compared, ds.netlist.net_count());
 }
 
 }  // namespace

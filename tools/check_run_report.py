@@ -42,7 +42,11 @@ PATH_SEARCH_BACKENDS = ("cached", "dijkstra", "steiner")
 
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
+    # Routing graphs constructed (one per net) and reset in place by a
+    # re-route (DESIGN.md §5); feedthrough assignment rounds (§3.1).
     "route.graphs_built",
+    "route.graph_resets",
+    "assign.rounds",
     # Re-routes answered from the reroute memo (DESIGN.md §5).
     "route.reroutes_skipped",
     # Selection-key effort (DESIGN.md §5): half recomputations, of which
