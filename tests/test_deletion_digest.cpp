@@ -5,14 +5,17 @@
 // same total order, so the sequence — global loop, shard workers and the
 // reroute reductions alike — must be reproduced bit for bit, at any
 // thread count. Option-keyed entries pin the orders the default options
-// do not reach: unconstrained runs, whose keys are density only, and the
-// Elmore-RC delay half.
+// do not reach: unconstrained runs, whose keys are density only, the
+// Elmore-RC delay half, budget-mode violation recovery, and the
+// post-run refine() and reroute() entry points.
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,7 +63,10 @@ std::map<std::string, std::pair<std::int64_t, std::string>> golden() {
 }
 
 /// Golden key "<dataset>" or "<dataset>/<option>", option one of
-/// `unconstrained` (use_constraints = false) or `rc` (Elmore-RC delay).
+/// `unconstrained` (use_constraints = false), `rc` (Elmore-RC delay),
+/// `budgets` (use_net_budgets = true), `refine` (run(), then one refine()
+/// with every net's estimate raised by 10% of its routed length) or `eco`
+/// (run(), then reroute() of every 7th net in name order).
 Digest route_digest(const std::string& key, std::int32_t threads) {
   const auto slash = key.find('/');
   const std::string dataset = key.substr(0, slash);
@@ -73,8 +79,11 @@ Digest route_digest(const std::string& key, std::int32_t threads) {
     options.use_constraints = false;
   } else if (option == "rc") {
     options.delay_model = DelayModel::kElmoreRC;
+  } else if (option == "budgets") {
+    options.use_net_budgets = true;
   } else {
-    EXPECT_TRUE(option.empty()) << "unknown digest option " << option;
+    EXPECT_TRUE(option.empty() || option == "refine" || option == "eco")
+        << "unknown digest option " << option;
   }
   Digest digest;
   const Netlist& netlist = ds.netlist;
@@ -84,12 +93,31 @@ Digest route_digest(const std::string& key, std::int32_t threads) {
   GlobalRouter router(ds.netlist, std::move(ds.placement), ds.tech,
                       ds.constraints, options);
   (void)router.run();
+  if (option == "refine") {
+    IdVector<NetId, double> extra_um;
+    extra_um.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
+    for (const NetId n : netlist.nets()) {
+      extra_um[n] = 0.1 * router.net_length_um(n);
+    }
+    (void)router.refine(extra_um);
+  } else if (option == "eco") {
+    std::vector<NetId> by_name;
+    for (const NetId n : netlist.nets()) by_name.push_back(n);
+    std::sort(by_name.begin(), by_name.end(), [&](NetId a, NetId b) {
+      return netlist.net(a).name < netlist.net(b).name;
+    });
+    std::vector<NetId> nets;
+    for (std::size_t i = 0; i < by_name.size(); i += 7) {
+      nets.push_back(by_name[i]);
+    }
+    (void)router.reroute(nets);
+  }
   return digest;
 }
 
 TEST(DeletionDigest, MatchesGoldenAtOneAndFourThreads) {
   const auto expected = golden();
-  ASSERT_EQ(expected.size(), 7u) << "golden file missing or truncated";
+  ASSERT_EQ(expected.size(), 10u) << "golden file missing or truncated";
   for (const auto& [key, pin] : expected) {
     for (const std::int32_t threads : {1, 4}) {
       const Digest d = route_digest(key, threads);
