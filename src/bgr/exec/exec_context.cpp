@@ -79,32 +79,35 @@ struct Region {
   std::atomic<std::int64_t> next{0};
   std::int64_t total;
   const std::function<void(std::int64_t)>* fn;  // outlives the region wait
-  bool traced = false;  // snapshot of Trace enablement at region entry
 
   std::mutex mutex;
   std::condition_variable done_cv;
   std::int64_t done = 0;
   std::exception_ptr error;
 
+  /// Claims and runs chunks until none is left. A thread that ran any
+  /// records one `worker` span around its whole loop and reports its
+  /// chunks done after the span closed, so the span lies inside the region.
   void work() {
-    while (true) {
-      const std::int64_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= total) break;
-      std::exception_ptr caught;
-      try {
-        if (traced) {
-          ScopedSpan span("chunk", "exec");
+    std::int64_t c = next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= total) return;
+    std::int64_t ran = 0;
+    std::exception_ptr caught;
+    {
+      ScopedSpan span("worker", "exec");
+      for (; c < total; c = next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
           (*fn)(c);
-        } else {
-          (*fn)(c);
+        } catch (...) {
+          if (!caught) caught = std::current_exception();
         }
-      } catch (...) {
-        caught = std::current_exception();
+        ++ran;
       }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (caught && !error) error = caught;
-      if (++done == total) done_cv.notify_all();
     }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (caught && !error) error = caught;
+    done += ran;
+    if (done == total) done_cv.notify_all();
   }
 };
 
@@ -127,7 +130,6 @@ void ExecContext::run_chunks(std::int64_t chunk_count,
   ThreadPool* pool = active_pool();
   ScopedSpan region_span("parallel_region", "exec");
   auto region = std::make_shared<Region>(chunk_count, chunk_fn);
-  region->traced = Trace::global().enabled();
   const std::int64_t helpers =
       std::min<std::int64_t>(threads_ - 1, chunk_count - 1);
   for (std::int64_t i = 0; i < helpers; ++i) {

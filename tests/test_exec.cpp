@@ -2,6 +2,7 @@
 // propagation through parallel regions, edge-case ranges, and the
 // determinism contract of parallel_for / parallel_reduce.
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "bgr/exec/exec_context.hpp"
 #include "bgr/exec/parallel.hpp"
 #include "bgr/exec/thread_pool.hpp"
+#include "bgr/obs/trace.hpp"
 
 namespace bgr {
 namespace {
@@ -150,6 +152,29 @@ TEST(ExecContext, StatsCountRegionsAndChunks) {
   EXPECT_EQ(exec.stats().chunks, 10);
   EXPECT_EQ(exec.stats().items, 1000);
   EXPECT_EQ(exec.stats().serial_regions, 0);
+}
+
+TEST(ExecContext, TracedRegionRecordsOneSpanPerWorker) {
+  // A grain-1 loop has one chunk per item; the trace must still hold one
+  // `worker` span per participating thread plus the region span, not one
+  // span per chunk.
+  Trace& trace = Trace::global();
+  trace.clear();
+  trace.enable();
+  ExecContext exec(4);
+  parallel_for(exec, 1000, [](std::int64_t) {}, /*grain=*/1);
+  trace.disable();
+  std::int64_t workers = 0;
+  std::int64_t exec_events = 0;
+  for (const Trace::Event& e : trace.events()) {
+    if (std::strcmp(e.category, "exec") != 0) continue;
+    ++exec_events;
+    if (e.name == "worker") ++workers;
+  }
+  trace.clear();
+  EXPECT_GE(workers, 1);
+  EXPECT_LE(workers, 4);
+  EXPECT_LE(exec_events, 4 + 1);
 }
 
 TEST(ExecContext, ZeroThreadsClampsToOne) {
