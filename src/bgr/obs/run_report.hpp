@@ -28,8 +28,7 @@ inline constexpr std::int64_t kRunReportSchemaVersion = 1;
 /// schema.
 class RunReport {
  public:
-  /// `kind` identifies the producer ("bgr_route", "bench.parallel_scaling",
-  /// ...).
+  /// `kind` identifies the producer ("bgr_route", "bench.scale", ...).
   explicit RunReport(std::string kind);
 
   [[nodiscard]] JsonValue& root() { return root_; }

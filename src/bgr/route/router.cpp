@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "bgr/common/log.hpp"
 #include "bgr/common/natural_order.hpp"
@@ -47,6 +48,11 @@ struct RouteMetrics {
       "route.key_delay_evals", MetricScope::kSemantic);
   Counter& key_span_reads = MetricsRegistry::global().counter(
       "route.key_span_reads", MetricScope::kSemantic);
+  /// Keys holding a NaN tier (SelectionIndex compares those unpacked).
+  /// Expected to stay 0; nondeterministic scope only so that existing
+  /// reports keep their semantic layout.
+  Counter& nan_keys = MetricsRegistry::global().counter(
+      "route.nan_keys", MetricScope::kNonDeterministic);
   Counter& feed_cells = MetricsRegistry::global().counter(
       "layout.feed_cells_added", MetricScope::kSemantic);
   Counter& widen_pitches = MetricsRegistry::global().counter(
@@ -73,10 +79,27 @@ RouteMetrics& route_metrics() {
 }
 
 /// Throws CancelledError when the router's owner asked it to stop.
-void poll_cancel(const RouterOptions& options, const std::string& where) {
+void poll_cancel(const RouterOptions& options, std::string_view where) {
   if (options.cancel_requested && options.cancel_requested()) {
-    throw CancelledError("route cancelled before " + where);
+    throw CancelledError("route cancelled before " + std::string(where));
   }
+}
+
+/// Commits between two cancel polls of a selection loop: a poll costs one
+/// predicate call, a commit on 10k ~65 us.
+constexpr std::int64_t kCancelPollCommits = 256;
+
+/// Order in which a parallel region takes per-shard work lists: largest
+/// first (ties by shard), so the last chunks handed out are the short ones
+/// and the workers finish together. Results never depend on it.
+template <typename T>
+std::vector<std::size_t> largest_first(const std::vector<std::vector<T>>& lists) {
+  std::vector<std::size_t> order(lists.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return lists[a].size() > lists[b].size();
+  });
+  return order;
 }
 
 }  // namespace
@@ -96,7 +119,8 @@ GlobalRouter::GlobalRouter(Netlist& netlist, Placement placement,
                       options.threads == 0 ? ExecContext::hardware_threads()
                                            : options.threads)),
       path_engine_(std::make_unique<PathSearchEngine>(options.path_search,
-                                                      exec_.get())) {
+                                                      exec_.get())),
+      scratch_(static_cast<std::size_t>(exec_->thread_count())) {
   register_steiner_metrics();
 }
 
@@ -293,10 +317,11 @@ void GlobalRouter::fill_delay_half(NetId net, std::int32_t edge,
 }
 
 void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge,
+                                   bool refresh_cache,
                                    std::vector<DensityChange>& changes) {
   RoutingGraph& g = *graphs_[net];
   const std::int32_t w = net_density_width(net);
-  const auto result = g.delete_edge(edge);
+  const auto result = g.delete_edge(edge, refresh_cache);
   for (const auto& removed : result.removed_edges) {
     const RouteEdgeInfo& info = g.edge_info(removed.edge);
     if (!info.is_trunk()) continue;
@@ -316,14 +341,15 @@ void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge,
 
 void GlobalRouter::apply_delete(NetId net, std::int32_t edge,
                                 TimingAnalyzer::UpdateSlot* slot,
+                                bool defer_estimate,
                                 std::vector<DensityChange>& changes) {
-  delete_in_graph(net, edge, changes);
-  refresh_net_estimate(net, slot);
+  delete_in_graph(net, edge, !defer_estimate, changes);
+  if (!defer_estimate) refresh_net_estimate(net, slot);
   const Net& n = netlist_.net(net);
   if (n.is_differential()) {
     // Mirrored deletion on the homogeneous shadow graph (§4.1).
-    delete_in_graph(n.diff_partner, edge, changes);
-    refresh_net_estimate(n.diff_partner, slot);
+    delete_in_graph(n.diff_partner, edge, !defer_estimate, changes);
+    if (!defer_estimate) refresh_net_estimate(n.diff_partner, slot);
   }
 }
 
@@ -334,11 +360,20 @@ void GlobalRouter::record_commit(NetId net, std::int32_t edge,
   if (options_.deletion_observer) options_.deletion_observer(net, edge);
 }
 
+void GlobalRouter::SelectionTally::add(const SelectionTally& other) {
+  misses += other.misses;
+  hits += other.hits;
+  delay_evals += other.delay_evals;
+  span_reads += other.span_reads;
+  nan_keys += other.nan_keys;
+}
+
 void GlobalRouter::fold_tally(const SelectionTally& tally) {
   route_metrics().score_miss.add(tally.misses);
   route_metrics().score_hit.add(tally.hits);
   route_metrics().key_delay_evals.add(tally.delay_evals);
   route_metrics().key_span_reads.add(tally.span_reads);
+  route_metrics().nan_keys.add(tally.nan_keys);
 }
 
 namespace {
@@ -374,13 +409,15 @@ struct SlotRefs {
   std::int32_t above = -1;
 };
 
-/// Slots [begin, end) of one candidate net; `round` dedups delay marking
-/// within one commit.
+/// Candidates [begin, end) of one net (their slots: the loop's slot_of);
+/// `round` dedups delay marking within one commit; `stale` marks a net
+/// whose estimate refresh waits for the end of the loop.
 struct NetSlots {
   NetId net;
   std::int32_t begin;
   std::int32_t end;
   std::int64_t round;
+  bool stale;
 };
 
 /// Dirty bits of a candidate: its delay half; its density half; and,
@@ -400,21 +437,74 @@ void fill_density_tiers(const ChannelDensityParams& cp,
 
 }  // namespace
 
+struct GlobalRouter::SelectionScratch {
+  SelectionIndex index{CriteriaOrder::kDelayFirst};
+  std::vector<std::int32_t> slot_of;  // candidate → slot
+  std::vector<NetSlots> nets;
+  std::vector<ChannelRef> refs;
+  std::vector<ChannelRefs> channels;
+  std::vector<SlotRefs> slot_refs;
+  std::vector<char> delay_active;
+  std::vector<char> dirty_bits;
+  std::vector<std::int32_t> dirty;
+  std::vector<std::pair<ConstraintId, std::uint64_t>> versions;
+  std::vector<DensityChange> changes;
+};
+
+GlobalRouter::SelectionScratch& GlobalRouter::scratch_for_thread() {
+  // Sized per exec slot at construction, so workers never resize it.
+  auto& scratch = scratch_[static_cast<std::size_t>(exec_->current_slot())];
+  if (scratch == nullptr) scratch = std::make_unique<SelectionScratch>();
+  return *scratch;
+}
+
 GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     const std::vector<Candidate>& candidates, TimingAnalyzer::UpdateSlot* slot,
-    const CommitFn& on_commit) {
+    SelectionScratch& scratch, const CommitFn& on_commit) {
   SelectionTally tally;
-  SelectionIndex index(order_);
+  SelectionIndex& index = scratch.index;
+  index.clear(order_);
+
+  // Slots in (channel, span start) order of each candidate's own channel:
+  // the candidates a channel-aggregate move re-keys then sit on adjacent
+  // leaves and share their tree paths. The root does not depend on slot
+  // order (it is the unique minimum).
+  auto& slot_of = scratch.slot_of;
+  slot_of.resize(candidates.size());
+  index.reserve(candidates.size());
+  {
+    // Freed before the loop starts: it is not part of the loop's peak.
+    std::vector<std::pair<std::uint64_t, std::int32_t>> order;
+    order.reserve(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      std::uint64_t at = 0;
+      if (options_.use_density_criteria) {
+        const Candidate& c = candidates[i];
+        const RouteEdgeInfo& info = graphs_[c.net]->edge_info(c.edge);
+        at = static_cast<std::uint64_t>(info.channel) << 32 |
+             (static_cast<std::uint32_t>(info.span.lo) ^ 0x80000000U);
+      }
+      order.emplace_back(at, static_cast<std::int32_t>(i));
+    }
+    if (options_.use_density_criteria) std::sort(order.begin(), order.end());
+    for (const auto& [at, i] : order) {
+      const Candidate& c = candidates[static_cast<std::size_t>(i)];
+      slot_of[static_cast<std::size_t>(i)] =
+          index.add(c.net, c.edge, netlist_.net(c.net).name);
+    }
+  }
 
   // net → candidates. Callers list candidates grouped by ascending net.
-  std::vector<NetSlots> nets;
-  for (const Candidate& c : candidates) {
-    const std::int32_t s = index.add(c.net, c.edge, netlist_.net(c.net).name);
-    if (nets.empty() || nets.back().net != c.net) {
-      BGR_CHECK(nets.empty() || nets.back().net < c.net);
-      nets.push_back(NetSlots{c.net, s, s, -1});
+  auto& nets = scratch.nets;
+  nets.clear();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const NetId net = candidates[i].net;
+    const auto k = static_cast<std::int32_t>(i);
+    if (nets.empty() || nets.back().net != net) {
+      BGR_CHECK(nets.empty() || nets.back().net < net);
+      nets.push_back(NetSlots{net, k, k, -1, false});
     }
-    nets.back().end = s + 1;
+    nets.back().end = k + 1;
   }
   auto slots_of = [&](NetId net) -> NetSlots* {
     const auto it = std::lower_bound(
@@ -424,9 +514,11 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
   };
 
   // channel → candidates, for the density half.
-  std::vector<ChannelRef> refs;
-  std::vector<ChannelRefs> channels;
-  std::vector<SlotRefs> slot_refs;
+  auto& refs = scratch.refs;
+  auto& channels = scratch.channels;
+  auto& slot_refs = scratch.slot_refs;
+  refs.clear();
+  channels.clear();
   if (options_.use_density_criteria) {
     for (std::int32_t s = 0; s < index.slot_count(); ++s) {
       const RouteEdgeInfo& info = graphs_[index.net(s)]->edge_info(index.edge(s));
@@ -442,7 +534,7 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
                 return a.channel != b.channel ? a.channel < b.channel
                                               : a.lo < b.lo;
               });
-    slot_refs.resize(static_cast<std::size_t>(index.slot_count()));
+    slot_refs.assign(static_cast<std::size_t>(index.slot_count()), SlotRefs{});
     for (std::size_t i = 0; i < refs.size(); ++i) {
       SlotRefs& sr = slot_refs[static_cast<std::size_t>(refs[i].slot)];
       (sr.own < 0 ? sr.own : sr.above) = static_cast<std::int32_t>(i);
@@ -460,14 +552,17 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
   }
 
   const auto slot_count = static_cast<std::size_t>(index.slot_count());
-  std::vector<char> delay_active(slot_count);
+  auto& delay_active = scratch.delay_active;
+  delay_active.resize(slot_count);
   for (std::size_t s = 0; s < slot_count; ++s) {
     delay_active[s] =
         delay_half_active(index.net(static_cast<std::int32_t>(s))) ? 1 : 0;
   }
   // Dirty set of the current round: slot → dirty bits.
-  std::vector<char> dirty_bits(slot_count, 0);
-  std::vector<std::int32_t> dirty;
+  auto& dirty_bits = scratch.dirty_bits;
+  auto& dirty = scratch.dirty;
+  dirty_bits.assign(slot_count, 0);
+  dirty.clear();
   auto mark = [&](std::int32_t s, char bit) {
     char& bits = dirty_bits[static_cast<std::size_t>(s)];
     if (bits == 0) dirty.push_back(s);
@@ -522,7 +617,17 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
       const bool span = (bits & kSpanDirty) != 0;
       const bool delay = (bits & kDelayDirty) != 0;
       bits = 0;
-      SelectionKey key = index.key(s);
+      if (density && !delay && index.live(s)) {
+        // Only the density tiers move: patch them in place.
+        SelectionKey tiers;
+        fill_density_half(s, span, tiers);
+        ++tally.misses;
+        tally.hits += delay_active[static_cast<std::size_t>(s)] != 0 ? 1 : 0;
+        index.set_density(s, tiers);
+        continue;
+      }
+      const SelectionKey cached = index.key(s);
+      SelectionKey key = cached;
       const NetId net = index.net(s);
       const std::int32_t edge = index.edge(s);
       if (!index.live(s)) {
@@ -538,20 +643,25 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
         tally.hits +=
             (!density && options_.use_density_criteria ? 1 : 0) +
             (!delay && delay_active[static_cast<std::size_t>(s)] != 0 ? 1 : 0);
-        if (key == index.key(s)) continue;  // keeps its place in the tree
+        if (key == cached) continue;  // keeps its place in the tree
       }
       index.set_key(s, key);
     }
     dirty.clear();
   };
 
-  std::vector<std::pair<ConstraintId, std::uint64_t>> versions;
-  std::vector<DensityChange> changes;
+  auto& versions = scratch.versions;
+  auto& changes = scratch.changes;
   for (std::int64_t round = 0;; ++round) {
+    if (round % kCancelPollCommits == 0) {
+      poll_cancel(options_, "the next edge deletion");
+    }
     flush();
-    tally.scans += index.size();
     const std::int32_t best = index.top();
-    if (best < 0) break;
+    if (best < 0) {
+      tally.nan_keys = index.nan_keys();
+      break;
+    }
     const NetId net = index.net(best);
     const std::int32_t edge = index.edge(best);
     const SelectionKey key = index.key(best);
@@ -566,18 +676,25 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
       snapshot(net);
       if (n.is_differential()) snapshot(n.diff_partner);
     }
+    // A net under no constraint (nor its shadow) feeds no key and no
+    // timing state: its estimate only has to be right when the loop ends.
+    NetSlots& own = *slots_of(net);
+    const bool defer = !timing_active_for(net) &&
+                       !(n.is_differential() &&
+                         timing_active_for(n.diff_partner));
+    own.stale = own.stale || defer;
     changes.clear();
-    apply_delete(net, edge, slot, changes);
+    apply_delete(net, edge, slot, defer, changes);
     on_commit(net, edge, key);
 
     // The committed net: the deleted edge, its pruned tail and the newly
     // bridged survivors leave the index; every other candidate's delay
     // half reads the new estimate.
-    NetSlots& own = *slots_of(net);
     own.round = round;
     const RoutingGraph& g = *graphs_[net];
     const bool own_delay = delay_half_active(net);
-    for (std::int32_t s = own.begin; s < own.end; ++s) {
+    for (std::int32_t k = own.begin; k < own.end; ++k) {
+      const std::int32_t s = slot_of[static_cast<std::size_t>(k)];
       if (!index.live(s)) continue;
       if (!g.graph().edge_alive(index.edge(s)) || g.is_bridge(index.edge(s))) {
         index.remove(s);
@@ -592,7 +709,8 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
         NetSlots* ns = slots_of(primary_of(member));
         if (ns == nullptr || ns->round == round) continue;
         ns->round = round;
-        for (std::int32_t s = ns->begin; s < ns->end; ++s) {
+        for (std::int32_t k = ns->begin; k < ns->end; ++k) {
+          const std::int32_t s = slot_of[static_cast<std::size_t>(k)];
           if (index.live(s)) mark(s, kDelayDirty);
         }
       }
@@ -656,11 +774,20 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
       i = next;
     }
   }
+  for (const NetSlots& ns : nets) {
+    if (!ns.stale) continue;
+    auto refresh = [&](NetId member) {
+      graphs_[member]->refresh_search_cache();
+      refresh_net_estimate(member, slot);
+    };
+    refresh(ns.net);
+    const Net& n = netlist_.net(ns.net);
+    if (n.is_differential()) refresh(n.diff_partner);
+  }
   return tally;
 }
 
-bool GlobalRouter::run_sharded_deletion(
-    const std::vector<Candidate>& candidates, PhaseStats& stats) {
+void GlobalRouter::decompose(const std::vector<Candidate>& candidates) {
   // Footprints of the nets that still own deletable edges. A net whose
   // graph is already a tree neither reads nor writes anything in the loop,
   // so it joins no shard (and cannot glue otherwise-independent components
@@ -705,33 +832,38 @@ bool GlobalRouter::run_sharded_deletion(
 
   shards_ = compute_shards(std::move(infos), density_->channel_count(),
                            analyzer_->constraint_count());
-  route_metrics().shard_components.add(shards_.shard_count());
-  for (const auto& members : shards_.shards) {
-    route_metrics().shard_nets.record(
-        static_cast<std::int64_t>(members.size()));
+  if (shards_.shard_count() <= 1) return;
+  // The §3.5 passes keep the decomposition: a re-route resets its graph to
+  // the footprint above, so nets of different shards still never interact.
+  net_shard_.assign(static_cast<std::size_t>(netlist_.net_count()),
+                    shards_.shard_count());
+  for (std::size_t i = 0; i < shards_.nets.size(); ++i) {
+    net_shard_[shards_.nets[i].net] = shards_.shard_of[i];
   }
-  if (shards_.shard_count() <= 1) {
-    // One interaction component: the global loop the caller falls
-    // back to *is* that single shard's loop, minus the replay detour.
-    route_metrics().shard_fallbacks.add(1);
-    return false;
-  }
+  tree_epochs_.assign(static_cast<std::size_t>(shards_.shard_count()) + 1,
+                      tree_epochs_.front());
+}
 
-  const auto shard_count = static_cast<std::size_t>(shards_.shard_count());
-  std::vector<std::vector<Candidate>> per_shard(shard_count);
-  for (const Candidate& c : candidates) {
-    per_shard[static_cast<std::size_t>(
-                  shards_.shard_of[static_cast<std::size_t>(info_of[c.net])])]
-        .push_back(c);
-  }
-
-  // One timing slot per exec slot: workers run their STA refreshes through
-  // private scratch and the caller folds the counters back after the join.
+std::vector<TimingAnalyzer::UpdateSlot> GlobalRouter::timing_slots() const {
   std::vector<TimingAnalyzer::UpdateSlot> slots;
   slots.reserve(static_cast<std::size_t>(exec_->thread_count()));
   for (std::int32_t i = 0; i < exec_->thread_count(); ++i) {
     slots.emplace_back(*analyzer_);
   }
+  return slots;
+}
+
+void GlobalRouter::run_sharded_deletion(
+    const std::vector<Candidate>& candidates, PhaseStats& stats) {
+  const auto shard_count = static_cast<std::size_t>(shards_.shard_count());
+  std::vector<std::vector<Candidate>> per_shard(shard_count);
+  for (const Candidate& c : candidates) {
+    per_shard[static_cast<std::size_t>(net_shard_[c.net])].push_back(c);
+  }
+
+  // Workers run their STA refreshes through private scratch and the
+  // caller folds the counters back after the join.
+  std::vector<TimingAnalyzer::UpdateSlot> slots = timing_slots();
 
   // Each worker runs the exact serial greedy over its shard, recording
   // every commit with the key it was selected under. Cross-shard state is
@@ -745,18 +877,19 @@ bool GlobalRouter::run_sharded_deletion(
   };
   std::vector<std::vector<CommitRec>> logs(shard_count);
   std::vector<SelectionTally> tallies(shard_count);
+  const std::vector<std::size_t> order = largest_first(per_shard);
   parallel_for(
       *exec_, static_cast<std::int64_t>(shard_count),
-      [&](std::int64_t s) {
-        const auto i = static_cast<std::size_t>(s);
+      [&](std::int64_t c) {
+        const std::size_t i = order[static_cast<std::size_t>(c)];
         std::vector<CommitRec>& log = logs[i];
         tallies[i] = select_and_delete(
             per_shard[i],
             &slots[static_cast<std::size_t>(exec_->current_slot())],
+            scratch_for_thread(),
             [&log](NetId net, std::int32_t edge, const SelectionKey& key) {
               log.push_back(CommitRec{net, edge, key});
             });
-        shards_.scans[i] = tallies[i].scans;
         shards_.commits[i] = static_cast<std::int64_t>(log.size());
       },
       /*grain=*/1);
@@ -808,7 +941,6 @@ bool GlobalRouter::run_sharded_deletion(
     route_metrics().shard_commits.add(1);
     push_front(s);
   }
-  return true;
 }
 
 void GlobalRouter::compute_net_budgets() {
@@ -861,8 +993,11 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
       // Names, not ids: relabeling-invariant order (natural_order.hpp).
       return natural_less(netlist_.net(a).name, netlist_.net(b).name);
     });
+    std::vector<std::int32_t> committed;
     for (const NetId n : order) {
-      reduce_net_to_tree(n, stats);
+      committed.clear();
+      fold_tally(reduce_net_to_tree(n, /*slot=*/nullptr, committed));
+      for (const std::int32_t e : committed) record_commit(n, e, stats);
     }
     return;
   }
@@ -876,42 +1011,56 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
     }
   }
 
-  if (options_.shard_deletion && run_sharded_deletion(candidates, stats)) {
-    return;
+  decompose(candidates);
+  if (options_.shard_deletion) {
+    route_metrics().shard_components.add(shards_.shard_count());
+    for (const auto& members : shards_.shards) {
+      route_metrics().shard_nets.record(
+          static_cast<std::int64_t>(members.size()));
+    }
+    if (shards_.shard_count() > 1) {
+      run_sharded_deletion(candidates, stats);
+      return;
+    }
+    // One interaction component: the global loop below *is* that single
+    // shard's loop, minus the replay detour.
+    route_metrics().shard_fallbacks.add(1);
   }
+  // The whole design's buffers: freed when the loop ends.
+  SelectionScratch scratch;
   fold_tally(select_and_delete(
-      candidates, /*slot=*/nullptr,
+      candidates, /*slot=*/nullptr, scratch,
       [&](NetId net, std::int32_t edge, const SelectionKey&) {
         record_commit(net, edge, stats);
       }));
 }
 
-void GlobalRouter::reduce_net_to_tree(NetId net, PhaseStats& stats,
-                                      std::vector<std::int32_t>* committed) {
+GlobalRouter::SelectionTally GlobalRouter::reduce_net_to_tree(
+    NetId net, TimingAnalyzer::UpdateSlot* slot,
+    std::vector<std::int32_t>& committed) {
   std::vector<Candidate> candidates;
   for (const auto e : graphs_[net]->non_bridge_edges()) {
     candidates.push_back(Candidate{net, e});
   }
-  fold_tally(select_and_delete(
-      candidates, /*slot=*/nullptr,
-      [&](NetId n, std::int32_t edge, const SelectionKey&) {
-        record_commit(n, edge, stats);
-        if (committed != nullptr) committed->push_back(edge);
-      }));
+  return select_and_delete(
+      candidates, slot, scratch_for_thread(),
+      [&](NetId, std::int32_t edge, const SelectionKey&) {
+        committed.push_back(edge);
+      });
 }
 
-void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
+NetId GlobalRouter::reroute_net(NetId net, TimingAnalyzer::UpdateSlot* slot,
+                                RerouteTally& tally) {
   net = primary_of(net);
-  ++stats.reroutes;
-  route_metrics().reroutes.add(1);
+  ++tally.reroutes;
   RerouteMemo& memo = reroute_memo_[net];
-  if (memo.epoch == tree_epoch_) {
-    // No tree changed since this net's last executed re-route, so every
-    // input it read is unchanged: re-running it would commit the same edges
-    // and end on the tree the net already has. Replay the bookkeeping only.
-    for (const std::int32_t e : memo.edges) record_commit(net, e, stats);
-    route_metrics().reroutes_skipped.add(1);
-    return;
+  std::uint64_t& epoch = tree_epoch(net);
+  if (memo.epoch == epoch) {
+    // No tree of the net's shard changed since its last executed re-route,
+    // so every input it read is unchanged: re-running it would commit the
+    // same edges and end on the tree the net already has.
+    ++tally.skipped;
+    return net;
   }
   const Net& n = netlist_.net(net);
   std::vector<NetId> members{net};
@@ -923,25 +1072,99 @@ void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
     // The graph's inputs (netlist, placement, assignment) are fixed after
     // setup, so its construction-time state is what a rebuild would give.
     graphs_[member]->reset();
-    route_metrics().graph_resets.add(1);
+    ++tally.resets;
     register_graph_density(member);
-    refresh_net_estimate(member);
+    refresh_net_estimate(member, slot);
   }
   memo.edges.clear();
-  reduce_net_to_tree(net, stats, &memo.edges);
+  tally.selection.add(reduce_net_to_tree(net, slot, memo.edges));
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (graphs_[members[i]]->alive_edges() != before[i]) {
-      ++tree_epoch_;
+      ++epoch;
       break;
     }
   }
-  memo.epoch = tree_epoch_;
+  memo.epoch = epoch;
+  return net;
+}
+
+void GlobalRouter::RerouteTally::add(const RerouteTally& other) {
+  reroutes += other.reroutes;
+  skipped += other.skipped;
+  resets += other.resets;
+  selection.add(other.selection);
+}
+
+void GlobalRouter::fold_reroutes(const RerouteTally& tally,
+                                 PhaseStats& stats) {
+  stats.reroutes += tally.reroutes;
+  route_metrics().reroutes.add(tally.reroutes);
+  route_metrics().reroutes_skipped.add(tally.skipped);
+  route_metrics().graph_resets.add(tally.resets);
+  fold_tally(tally.selection);
+}
+
+void GlobalRouter::reroute_one(NetId net, PhaseStats& stats) {
+  RerouteTally tally;
+  const NetId primary = reroute_net(net, /*slot=*/nullptr, tally);
+  fold_reroutes(tally, stats);
+  for (const std::int32_t e : reroute_memo_[primary].edges) {
+    record_commit(primary, e, stats);
+  }
+}
+
+void GlobalRouter::reroute_in_shards(const std::vector<NetId>& nets,
+                                     PhaseStats& stats) {
+  if (net_shard_.empty() || !options_.shard_deletion) {
+    for (const NetId n : nets) reroute_one(n, stats);
+    return;
+  }
+  // Nets in no shard had no deletable edge when the decomposition was
+  // taken, so their re-routes change no tree — but they churn density on
+  // channels the shards share, so they run here, before the region.
+  const std::size_t shard_count = tree_epochs_.size() - 1;
+  std::vector<std::vector<NetId>> per_shard(shard_count);
+  RerouteTally tally;
+  for (const NetId n : nets) {
+    const auto s = static_cast<std::size_t>(net_shard_[primary_of(n)]);
+    if (s < shard_count) {
+      per_shard[s].push_back(n);
+    } else {
+      (void)reroute_net(n, /*slot=*/nullptr, tally);
+    }
+  }
+  // Each shard's sublist in list order on one worker: shards share no
+  // channel and no constraint, so re-routes of different shards commute
+  // and every net sees the state the list order would give it.
+  std::vector<TimingAnalyzer::UpdateSlot> slots = timing_slots();
+  std::vector<RerouteTally> tallies(shard_count);
+  const std::vector<std::size_t> order = largest_first(per_shard);
+  parallel_for(
+      *exec_, static_cast<std::int64_t>(shard_count),
+      [&](std::int64_t c) {
+        const std::size_t i = order[static_cast<std::size_t>(c)];
+        TimingAnalyzer::UpdateSlot& slot =
+            slots[static_cast<std::size_t>(exec_->current_slot())];
+        for (const NetId n : per_shard[i]) {
+          (void)reroute_net(n, &slot, tallies[i]);
+        }
+      },
+      /*grain=*/1);
+  for (auto& slot : slots) analyzer_->absorb(slot);
+  for (const RerouteTally& t : tallies) tally.add(t);
+  fold_reroutes(tally, stats);
+  for (const NetId n : nets) {
+    const NetId primary = primary_of(n);
+    for (const std::int32_t e : reroute_memo_[primary].edges) {
+      record_commit(primary, e, stats);
+    }
+  }
 }
 
 void GlobalRouter::reroute_passes(PhaseStats& stats, const ReroutePass& pass,
                                   const std::function<double()>& cost,
                                   double eps) {
-  const auto reroute = [&](NetId net) { reroute_net(net, stats); };
+  const auto reroute = [&](NetId net) { reroute_one(net, stats); };
   for (std::int32_t i = 0; i < options_.improvement_passes; ++i) {
     const double before = cost ? cost() : 0.0;
     if (!pass(reroute)) break;
@@ -1005,16 +1228,18 @@ void GlobalRouter::improve_timing(PhaseStats& stats, bool violated_only) {
 void GlobalRouter::improve_area(PhaseStats& stats) {
   const CriteriaOrder saved = order_;
   order_ = CriteriaOrder::kAreaFirst;  // every reroute keys afresh
-  reroute_passes(stats, [&](const std::function<void(NetId)>& visit) {
-    // Nets running through the most congested points, most congested first.
-    struct Entry {
-      NetId net;
-      std::int32_t congestion;
-    };
-    std::vector<Entry> entries;
-    for (const NetId n : netlist_.nets()) {
+  // Per net: the densest point its trunks run over when one of them
+  // reaches its channel's maximum, else -1.
+  std::vector<std::int32_t> congestion(
+      static_cast<std::size_t>(netlist_.net_count()));
+  reroute_passes(stats, [&](const std::function<void(NetId)>&) {
+    // The scan only reads, so the nets are scanned concurrently.
+    parallel_for(*exec_, netlist_.net_count(), [&](std::int64_t i) {
+      const NetId n{static_cast<std::int32_t>(i)};
       const Net& net = netlist_.net(n);
-      if (net.is_differential() && !net.diff_primary) continue;
+      std::int32_t& out = congestion[static_cast<std::size_t>(i)];
+      out = -1;
+      if (net.is_differential() && !net.diff_primary) return;
       const RoutingGraph& g = *graphs_[n];
       std::int32_t best = 0;
       bool at_peak = false;
@@ -1026,21 +1251,24 @@ void GlobalRouter::improve_area(PhaseStats& stats) {
         best = std::max(best, ep.d_max);
         at_peak = at_peak || ep.d_max == cp.c_max;
       }
-      if (at_peak) entries.push_back(Entry{n, best});
+      if (at_peak) out = best;
+    });
+    // Nets running through the most congested points, most congested first.
+    std::vector<NetId> nets;
+    for (const NetId n : netlist_.nets()) {
+      if (congestion[static_cast<std::size_t>(n.index())] >= 0) {
+        nets.push_back(n);
+      }
     }
-    std::stable_sort(entries.begin(), entries.end(),
-                     [&](const Entry& a, const Entry& b) {
-                       if (a.congestion != b.congestion) {
-                         return a.congestion > b.congestion;
-                       }
-                       // Name tie-break: relabeling-invariant order.
-                       return netlist_.net(a.net).name <
-                              netlist_.net(b.net).name;
-                     });
-    for (const Entry& entry : entries) {
-      visit(entry.net);
-    }
-    return !entries.empty();
+    std::stable_sort(nets.begin(), nets.end(), [&](NetId a, NetId b) {
+      const std::int32_t ca = congestion[static_cast<std::size_t>(a.index())];
+      const std::int32_t cb = congestion[static_cast<std::size_t>(b.index())];
+      if (ca != cb) return ca > cb;
+      // Name tie-break: relabeling-invariant order.
+      return netlist_.net(a).name < netlist_.net(b).name;
+    });
+    reroute_in_shards(nets, stats);
+    return !nets.empty();
   }, [&] { return static_cast<double>(density_->sum_max_density()); });
   order_ = saved;
 }
@@ -1049,7 +1277,7 @@ void GlobalRouter::run_phase(const std::string& name, bool enabled,
                              const std::function<void(PhaseStats&)>& body,
                              RouteOutcome& outcome) {
   poll_cancel(options_, name);
-  ++tree_epoch_;  // no reroute memo crosses a phase
+  for (std::uint64_t& epoch : tree_epochs_) ++epoch;  // no memo crosses a phase
   PhaseStats stats;
   stats.name = name;
   ScopedSpan span(name, "phase");
@@ -1124,7 +1352,7 @@ RouteOutcome GlobalRouter::reroute(const std::vector<NetId>& nets) {
   RouteOutcome outcome;
   run_phase("eco_reroute", true, [&](PhaseStats& s) {
     for (const NetId n : nets) {
-      reroute_net(n, s);
+      reroute_one(n, s);
     }
   }, outcome);
   finish_outcome(outcome);

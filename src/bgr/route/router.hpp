@@ -54,8 +54,11 @@ struct RouterOptions {
   /// Because cross-shard state is disjoint, the merged sequence — and hence
   /// the RouteOutcome — is bit-identical to the unsharded serial greedy at
   /// any thread count. Designs that form a single interaction component
-  /// fall back to the unsharded loop automatically. Only the concurrent
-  /// initial-routing phase shards; `false` keeps the global scan loop.
+  /// fall back to the unsharded loop automatically. The concurrent
+  /// initial-routing phase shards its selection loop and the area passes
+  /// (improve_area, refine_area) re-route each shard's nets on its own
+  /// worker (DESIGN.md §5); `false` keeps the global scan loop and the
+  /// serial passes.
   bool shard_deletion = true;
   /// Improvement phases (§3.5).
   bool enable_violation_recovery = true;
@@ -107,9 +110,12 @@ struct RouterOptions {
   ThreadPool* shared_pool = nullptr;
   /// Cooperative cancellation, polled by run() before netlist validation
   /// and before graph construction, by the assignment pipeline before
-  /// every feedthrough round, and by the phase runner before every phase
-  /// of run(), refine() and reroute(). A true return throws
-  /// CancelledError there. A cancelled run() stays in the kRunning
+  /// every feedthrough round, by the phase runner before every phase of
+  /// run(), refine() and reroute(), and by every §3.4 selection loop once
+  /// per 256 commits (parallel shard workers and re-routes included: the
+  /// parallel region rethrows at its join). A true return throws
+  /// CancelledError there; the predicate must be safe to call from
+  /// several threads at once. A cancelled run() stays in the kRunning
   /// (poisoned) state and the netlist may already carry inserted feed
   /// cells, so its inputs should be discarded, not reused. Leave empty
   /// when not serving.
@@ -208,10 +214,10 @@ class GlobalRouter {
   /// Routed (tree) length of a net after run(), um.
   [[nodiscard]] double net_length_um(NetId net) const;
 
-  /// Interaction-disjoint shard decomposition the initial-routing phase
-  /// used (empty when sharding was disabled or the phase ran sequentially).
-  /// Exposed for the shard property tests and the scale bench's
-  /// work-balance gates.
+  /// Interaction-disjoint shard decomposition of the initial-routing
+  /// phase (empty when that phase ran sequentially); commits per shard
+  /// are filled only when the phase ran sharded. Exposed for the shard
+  /// property tests and the scale bench.
   [[nodiscard]] const ShardDecomposition& shard_decomposition() const {
     return shards_;
   }
@@ -249,22 +255,30 @@ class GlobalRouter {
   };
   /// State mutation of one committed deletion (graph surgery + density +
   /// estimate/STA refresh). Shard workers pass a per-worker timing slot.
-  /// Every density interval it touches is appended to `changes`.
+  /// Every density interval it touches is appended to `changes`. With
+  /// `defer_estimate` the graphs' search caches and estimates are left
+  /// stale for the caller to refresh.
   void apply_delete(NetId net, std::int32_t edge,
-                    TimingAnalyzer::UpdateSlot* slot,
+                    TimingAnalyzer::UpdateSlot* slot, bool defer_estimate,
                     std::vector<DensityChange>& changes);
   /// Caller-thread bookkeeping of one commit: stats, metrics, observer.
   void record_commit(NetId net, std::int32_t edge, PhaseStats& stats);
   /// Local effort tallies of one selection loop, folded into the shared
   /// metrics once per loop (shard workers: after the join).
   struct SelectionTally {
-    std::int64_t scans = 0;        // live candidates summed over rounds
     std::int64_t misses = 0;       // key halves recomputed
     std::int64_t hits = 0;         // key halves served from cache
     std::int64_t delay_evals = 0;  // delay halves recomputed
     std::int64_t span_reads = 0;   // density halves that re-read spans
+    std::int64_t nan_keys = 0;     // keys set holding a NaN tier
+
+    void add(const SelectionTally& other);
   };
   static void fold_tally(const SelectionTally& tally);
+  /// Reusable buffers of select_and_delete (router.cpp): one per exec
+  /// slot for the shard workers and the re-routes' per-net loops.
+  struct SelectionScratch;
+  [[nodiscard]] SelectionScratch& scratch_for_thread();
   using CommitFn =
       std::function<void(NetId, std::int32_t, const SelectionKey&)>;
   /// The §3.4 greedy deletion loop — the one selection routine behind the
@@ -272,25 +286,59 @@ class GlobalRouter {
   /// commits the candidate with the smallest key (SelectionIndex order)
   /// until none is deletable, re-keying after each commit only the
   /// candidates whose inputs moved (DESIGN.md §5). `on_commit` runs after
-  /// each commit with the key the edge was selected under. Shard workers
-  /// pass their timing slot; the caller thread passes null.
+  /// each commit with the key the edge was selected under. Polls cancel
+  /// once per 256 commits. Workers off the caller thread pass their timing
+  /// slot; the caller thread passes null.
   SelectionTally select_and_delete(const std::vector<Candidate>& candidates,
                                    TimingAnalyzer::UpdateSlot* slot,
+                                   SelectionScratch& scratch,
                                    const CommitFn& on_commit);
-  /// Sharded §3.4 deletion loop (DESIGN.md §13). Returns false when the
-  /// decomposition degenerates to a single shard — the caller then runs
-  /// the classic global loop instead.
-  bool run_sharded_deletion(const std::vector<Candidate>& candidates,
+  /// Fills shards_ with the interaction decomposition (DESIGN.md §13) of
+  /// the nets owning `candidates` and, when it has more than one shard,
+  /// net_shard_ and one reroute-memo epoch per shard.
+  void decompose(const std::vector<Candidate>& candidates);
+  /// One STA scratch slot per exec slot, for a parallel region's workers;
+  /// absorb each into the analyzer after the join.
+  [[nodiscard]] std::vector<TimingAnalyzer::UpdateSlot> timing_slots() const;
+  /// Sharded §3.4 deletion loop (DESIGN.md §13) over decompose()'s
+  /// shards; needs more than one.
+  void run_sharded_deletion(const std::vector<Candidate>& candidates,
                             PhaseStats& stats);
-  void delete_in_graph(NetId net, std::int32_t edge,
+  void delete_in_graph(NetId net, std::int32_t edge, bool refresh_cache,
                        std::vector<DensityChange>& changes);
-  /// Deletes edges of one net until its graph is a tree (local loop used by
-  /// rip-up/re-route). When `committed` is set, every committed edge is
-  /// appended to it in commit order.
-  void reduce_net_to_tree(NetId net, PhaseStats& stats,
-                          std::vector<std::int32_t>* committed = nullptr);
+  /// Deletes edges of one net until its graph is a tree (the local loop of
+  /// rip-up/re-route and of the sequential baseline), appending every
+  /// committed edge to `committed` in commit order.
+  SelectionTally reduce_net_to_tree(NetId net, TimingAnalyzer::UpdateSlot* slot,
+                                    std::vector<std::int32_t>& committed);
   void initial_routing(PhaseStats& stats);
-  void reroute_net(NetId net, PhaseStats& stats);
+  /// Effort of a run of re-routes, folded into the phase and the metrics
+  /// on the caller thread (by shard workers' callers after the join).
+  struct RerouteTally {
+    std::int64_t reroutes = 0;
+    std::int64_t skipped = 0;  // answered from the reroute memo
+    std::int64_t resets = 0;   // routing graphs reset
+    SelectionTally selection;
+
+    void add(const RerouteTally& other);
+  };
+  static void fold_reroutes(const RerouteTally& tally, PhaseStats& stats);
+  /// Rips up and re-routes `net`'s primary (and its shadow), or replays
+  /// its memo. Leaves the committed edges in the primary's memo and
+  /// records no commit; returns the primary. Workers off the caller
+  /// thread pass their timing slot.
+  NetId reroute_net(NetId net, TimingAnalyzer::UpdateSlot* slot,
+                    RerouteTally& tally);
+  /// reroute_net on the caller thread plus its bookkeeping: tallies, then
+  /// one record_commit per committed edge.
+  void reroute_one(NetId net, PhaseStats& stats);
+  /// Re-routes distinct nets with the outcome, stats and observer
+  /// sequence of reroute_one over the list in order (DESIGN.md §5): nets
+  /// of different shards share no channel and no constraint, so each
+  /// shard's sublist runs, in list order, on its own worker; nets in no
+  /// shard first, serially. Serial in list order without shards or with
+  /// shard_deletion off.
+  void reroute_in_shards(const std::vector<NetId>& nets, PhaseStats& stats);
   /// One §3.5 pass: calls its argument once per net to re-route, in
   /// order, and returns false when it found nothing to visit.
   using ReroutePass = std::function<bool(const std::function<void(NetId)>&)>;
@@ -350,18 +398,30 @@ class GlobalRouter {
   /// thread-invariant input.
   IdVector<NetId, double> net_sink_weight_;
   ShardDecomposition shards_;
-  /// Reroute memo (DESIGN.md §5). `tree_epoch_` advances at every phase
+  /// Shard of each primary net for the §3.5 passes: the initial phase's
+  /// decomposition, with shards_.shard_count() for nets in no shard. Empty
+  /// unless that decomposition has more than one shard.
+  IdVector<NetId, std::int32_t> net_shard_;
+  /// Reroute memo (DESIGN.md §5). A tree epoch advances at every phase
   /// start and whenever an executed re-route leaves its net (primary plus
-  /// shadow) with a different tree. A primary's memo holds the epoch at the
-  /// end of its last executed re-route and the edges that re-route
-  /// committed; while the epoch has not moved since, re-routing the net
-  /// again would commit the same edges and end on the tree it already has.
+  /// shadow) with a different tree. There is one epoch per net_shard_
+  /// value (one in all without shards): a re-route reads only state its
+  /// shard's trees write. A primary's memo holds its epoch at the end of
+  /// its last executed re-route and the edges that re-route committed;
+  /// while the epoch has not moved since, re-routing the net again would
+  /// commit the same edges and end on the tree it already has.
   struct RerouteMemo {
     std::uint64_t epoch = 0;
     std::vector<std::int32_t> edges;
   };
-  std::uint64_t tree_epoch_ = 0;
+  std::vector<std::uint64_t> tree_epochs_ = {0};
+  [[nodiscard]] std::uint64_t& tree_epoch(NetId primary) {
+    return tree_epochs_[net_shard_.empty()
+                            ? 0
+                            : static_cast<std::size_t>(net_shard_[primary])];
+  }
   IdVector<NetId, RerouteMemo> reroute_memo_;
+  std::vector<std::unique_ptr<SelectionScratch>> scratch_;
   CriteriaOrder order_ = CriteriaOrder::kDelayFirst;
   RunState run_state_ = RunState::kIdle;
   std::int32_t feed_cells_added_ = 0;

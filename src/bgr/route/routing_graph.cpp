@@ -176,7 +176,8 @@ bool RoutingGraph::is_tree() const {
   return graph_.alive_edge_count() == graph_.alive_vertex_count() - 1;
 }
 
-RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e) {
+RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e,
+                                                      bool refresh_cache) {
   BGR_CHECK(graph_.edge_alive(e));
   BGR_CHECK_MSG(!bridge_[static_cast<std::size_t>(e)], "cannot delete a bridge");
   DeletionResult result;
@@ -213,10 +214,14 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e) {
     }
   }
 
-  // The graph changed: rebuild the no-skip reference search the engine
-  // answers skip-edge queries against. delete_edge runs only at serial
-  // commit points, so no scorer is reading the cache concurrently.
-  refresh_search_cache();
+  // The graph changed: rebuild (or drop) the no-skip reference search the
+  // engine answers skip-edge queries against. delete_edge runs only at
+  // serial commit points, so no scorer is reading the cache concurrently.
+  if (refresh_cache) {
+    refresh_search_cache();
+  } else {
+    search_cache_.valid = false;
+  }
   return result;
 }
 

@@ -119,8 +119,13 @@ class RoutingGraph {
   };
 
   /// Deletes a non-bridge edge, prunes any dangling non-terminal branches,
-  /// and refreshes bridge flags.
-  DeletionResult delete_edge(std::int32_t e);
+  /// and refreshes bridge flags. With `refresh_cache` false the
+  /// SearchCache is only marked invalid — searches then run in full —
+  /// until the next refresh_search_cache().
+  DeletionResult delete_edge(std::int32_t e, bool refresh_cache = true);
+  /// Rebuilds the SearchCache through the attached engine (no-op without
+  /// one or under the plain Dijkstra backend).
+  void refresh_search_cache();
 
   /// Total physical length of the tentative tree (union of shortest
   /// driver→terminal paths), optionally pretending `skip_edge` is deleted.
@@ -166,9 +171,6 @@ class RoutingGraph {
 
  private:
   void recompute_bridges();
-  /// Rebuilds the SearchCache through the attached engine (no-op without
-  /// one or under the plain Dijkstra backend).
-  void refresh_search_cache();
 
   NetId net_;
   SmallGraph graph_;

@@ -18,25 +18,24 @@ int compare_selection(const SelectionKey& ka, const std::string& na,
   return ea < eb ? -1 : (eb < ea ? 1 : 0);
 }
 
+void SelectionIndex::clear(CriteriaOrder order) {
+  order_ = order;
+  entries_.clear();
+  live_ = 0;
+  nan_keys_ = 0;
+  rebuild_ = true;
+}
+
 std::int32_t SelectionIndex::add(NetId net, std::int32_t edge,
                                  const std::string& name) {
   Entry e;
+  e.words = pack(SelectionKey{});
   e.name = &name;
   e.net = net;
   e.edge = edge;
   entries_.push_back(e);
   rebuild_ = true;
   return static_cast<std::int32_t>(entries_.size()) - 1;
-}
-
-void SelectionIndex::set_key(std::int32_t slot, const SelectionKey& key) {
-  Entry& e = entries_[static_cast<std::size_t>(slot)];
-  e.key = key;
-  if (!e.live) {
-    e.live = true;
-    ++live_;
-  }
-  mark(slot);
 }
 
 void SelectionIndex::remove(std::int32_t slot) {
@@ -47,19 +46,15 @@ void SelectionIndex::remove(std::int32_t slot) {
   mark(slot);
 }
 
-void SelectionIndex::mark(std::int32_t slot) {
-  if (rebuild_) return;  // the pending full rebuild covers every leaf
-  const std::size_t node = leaf_base_ + static_cast<std::size_t>(slot);
-  if (touched_[node] == 0) {
-    touched_[node] = 1;
-    pending_.push_back(node);
-  }
-}
-
 bool SelectionIndex::before(std::int32_t a, std::int32_t b) const {
   const Entry& x = entries_[static_cast<std::size_t>(a)];
   const Entry& y = entries_[static_cast<std::size_t>(b)];
-  const int c = compare_selection(x.key, *x.name, x.edge, y.key, *y.name,
+  if (!x.nan && !y.nan) {
+    for (std::size_t i = 0; i < x.words.size(); ++i) {
+      if (x.words[i] != y.words[i]) return x.words[i] < y.words[i];
+    }
+  }
+  const int c = compare_selection(key(a), *x.name, x.edge, key(b), *y.name,
                                   y.edge, order_);
   return c != 0 ? c < 0 : x.net.index() < y.net.index();
 }

@@ -81,7 +81,6 @@ ShardDecomposition compute_shards(std::vector<ShardNetInfo> nets,
     out.shards[static_cast<std::size_t>(s)].push_back(i);
   }
   out.commits.assign(out.shards.size(), 0);
-  out.scans.assign(out.shards.size(), 0);
   return out;
 }
 

@@ -39,12 +39,8 @@ struct ShardDecomposition {
   std::vector<std::vector<std::int32_t>> shards;
   /// shard_of[i] is the shard of nets[i].
   std::vector<std::int32_t> shard_of;
-  /// Filled by the deletion loop: committed deletions per shard, and the
-  /// shard's live candidates summed over its selection rounds (the work a
-  /// full rescan per commit would do). Deterministic work measures — the
-  /// scale bench gates its parallelism ratio on them, not on wall time.
+  /// Filled by the deletion loop: committed deletions per shard.
   std::vector<std::int64_t> commits;
-  std::vector<std::int64_t> scans;
 
   [[nodiscard]] std::int32_t shard_count() const {
     return static_cast<std::int32_t>(shards.size());

@@ -99,8 +99,9 @@ class RoutingSession {
   [[nodiscard]] SessionResult run();
 
   /// Requests cancellation; thread-safe, idempotent. Takes effect at the
-  /// next phase boundary of a running pipeline, or immediately at the
-  /// start of the next run().
+  /// next phase boundary of a running pipeline or within 256 edge
+  /// deletions of its routing, or immediately at the start of the next
+  /// run().
   void cancel() { cancel_.store(true, std::memory_order_relaxed); }
   [[nodiscard]] bool cancel_requested() const {
     return cancel_.load(std::memory_order_relaxed);

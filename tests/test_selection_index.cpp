@@ -3,15 +3,22 @@
 // equal the brute-force argmin of a first-wins scan under the exact total order
 // (key, natural net name, edge). Keys are drawn from tiny domains so exact
 // key ties, across nets and across edges of one net, are the common case.
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bgr/common/natural_order.hpp"
 #include "bgr/common/rng.hpp"
+#include "bgr/gen/generator.hpp"
+#include "bgr/obs/metrics.hpp"
 #include "bgr/route/criteria.hpp"
+#include "bgr/route/router.hpp"
 #include "bgr/route/selection_index.hpp"
 
 namespace bgr {
@@ -150,6 +157,237 @@ TEST(SelectionIndex, ExactTiesBreakOnNaturalNameThenEdge) {
   index.remove(a);
   EXPECT_EQ(index.top(), -1);
   EXPECT_EQ(index.size(), 0);
+}
+
+/// Keys over each tier's extremes: int limits, ±0.0, ±inf, the smallest
+/// subnormal and huge magnitudes — the corners of the packed encoding.
+SelectionKey extreme_key(Rng& rng) {
+  constexpr std::int32_t kInts[] = {std::numeric_limits<std::int32_t>::min(),
+                                    std::numeric_limits<std::int32_t>::min() + 1,
+                                    -1,
+                                    0,
+                                    1,
+                                    std::numeric_limits<std::int32_t>::max() - 1,
+                                    std::numeric_limits<std::int32_t>::max()};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDoubles[] = {-kInf, -1e300, -1.5, -0.0, 0.0,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 1.5, 1e300, kInf};
+  auto pick_int = [&] {
+    return kInts[rng.uniform(0, std::size(kInts) - 1)];
+  };
+  auto pick_double = [&] {
+    return kDoubles[rng.uniform(0, std::size(kDoubles) - 1)];
+  };
+  SelectionKey k;
+  k.critical_count = pick_int();
+  k.global_delay = pick_double();
+  k.local_delay = pick_double();
+  k.branch = pick_int();
+  k.f_min = pick_int();
+  k.n_min = pick_int();
+  k.f_max = pick_int();
+  k.n_max = pick_int();
+  k.neg_length = pick_double();
+  return k;
+}
+
+/// Bit equality with −0.0 and +0.0 taken as one value.
+bool same_bits(double a, double b) {
+  return a == 0.0 ? b == 0.0
+                  : std::bit_cast<std::uint64_t>(a) ==
+                        std::bit_cast<std::uint64_t>(b);
+}
+
+// The index's packed word compare must order any two keys exactly as
+// compare_selection does, and a key must read back as it was set.
+TEST(SelectionIndex, PackedCompareMatchesCompareSelection) {
+  const std::string na = "n2";
+  const std::string nb = "n10";
+  for (const CriteriaOrder order :
+       {CriteriaOrder::kDelayFirst, CriteriaOrder::kAreaFirst}) {
+    Rng rng(order == CriteriaOrder::kDelayFirst ? 7 : 8);
+    for (int trial = 0; trial < 4000; ++trial) {
+      SelectionKey ka = extreme_key(rng);
+      // Half the pairs share most tiers, so later tiers decide too.
+      SelectionKey kb = rng.uniform(0, 1) == 0 ? extreme_key(rng) : ka;
+      if (rng.uniform(0, 1) == 0) kb.neg_length = extreme_key(rng).neg_length;
+      if (rng.uniform(0, 3) == 0) kb.n_max = extreme_key(rng).n_max;
+      // Same net (edge decides ties) or two nets (name decides ties).
+      const bool one_net = rng.uniform(0, 1) == 0;
+      const std::string& name_b = one_net ? na : nb;
+      SelectionIndex index(order);
+      const std::int32_t a = index.add(NetId{0}, 3, na);
+      const std::int32_t b = index.add(NetId{one_net ? 0 : 1}, 5, name_b);
+      index.set_key(a, ka);
+      index.set_key(b, kb);
+      const int c = compare_selection(ka, na, 3, kb, name_b, 5, order);
+      ASSERT_NE(c, 0);
+      ASSERT_EQ(index.top(), c < 0 ? a : b) << "trial " << trial;
+      for (const auto& [slot, key] : {std::pair{a, ka}, std::pair{b, kb}}) {
+        const SelectionKey back = index.key(slot);
+        EXPECT_EQ(back, key);
+        EXPECT_TRUE(same_bits(back.global_delay, key.global_delay));
+        EXPECT_TRUE(same_bits(back.local_delay, key.local_delay));
+        EXPECT_TRUE(same_bits(back.neg_length, key.neg_length));
+      }
+      EXPECT_EQ(index.nan_keys(), 0);
+    }
+  }
+}
+
+// set_density is set_key of the key with its density tiers replaced: the
+// same key reads back, the same slot wins, and unchanged tiers leave the
+// tree as it was.
+TEST(SelectionIndex, SetDensityEqualsSetKeyOfPatchedKey) {
+  const std::string na = "n1";
+  const std::string nb = "n2";
+  for (const CriteriaOrder order :
+       {CriteriaOrder::kDelayFirst, CriteriaOrder::kAreaFirst}) {
+    Rng rng(order == CriteriaOrder::kDelayFirst ? 17 : 18);
+    for (int trial = 0; trial < 2000; ++trial) {
+      const SelectionKey ka = extreme_key(rng);
+      const SelectionKey kb = extreme_key(rng);
+      const SelectionKey tiers = extreme_key(rng);
+      SelectionKey patched = ka;
+      patched.f_min = tiers.f_min;
+      patched.n_min = tiers.n_min;
+      patched.f_max = tiers.f_max;
+      patched.n_max = tiers.n_max;
+      SelectionIndex via_density(order);
+      SelectionIndex via_key(order);
+      for (SelectionIndex* index : {&via_density, &via_key}) {
+        (void)index->add(NetId{0}, 1, na);
+        (void)index->add(NetId{1}, 1, nb);
+        index->set_key(0, ka);
+        index->set_key(1, kb);
+        (void)index->top();
+      }
+      via_density.set_density(0, tiers);
+      via_key.set_key(0, patched);
+      ASSERT_EQ(via_density.key(0), patched) << "trial " << trial;
+      ASSERT_EQ(via_density.top(), via_key.top()) << "trial " << trial;
+    }
+  }
+}
+
+// A key holding a NaN takes compare_selection's path (the NaN tier ties),
+// and reads back bit for bit.
+TEST(SelectionIndex, NanKeysFallBackToCompareSelection) {
+  const std::string n1 = "n1";
+  const std::string n2 = "n2";
+  SelectionKey nan_key;
+  nan_key.global_delay = std::numeric_limits<double>::quiet_NaN();
+  nan_key.f_min = 5;
+  SelectionKey other = nan_key;
+  other.global_delay = -1.0;
+  other.f_min = -5;
+  for (const CriteriaOrder order :
+       {CriteriaOrder::kDelayFirst, CriteriaOrder::kAreaFirst}) {
+    SelectionIndex index(order);
+    const std::int32_t a = index.add(NetId{0}, 1, n2);
+    const std::int32_t b = index.add(NetId{1}, 1, n1);
+    index.set_key(a, other);
+    index.set_key(b, nan_key);
+    const int c = compare_selection(other, n2, 1, nan_key, n1, 1, order);
+    EXPECT_EQ(index.top(), c < 0 ? a : b);
+    EXPECT_EQ(index.nan_keys(), 1);
+    EXPECT_TRUE(std::isnan(index.key(b).global_delay));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(index.key(b).global_delay),
+              std::bit_cast<std::uint64_t>(nan_key.global_delay));
+  }
+}
+
+// The root is the unique minimum, so slot numbering cannot matter: two
+// indexes over the same candidates, added in different orders and fed the
+// same re-keys, pick the same (net, edge) at every step.
+TEST(SelectionIndex, PermutedSlotNumberingSameTopSequence) {
+  const std::vector<std::string> names = {"n10", "n2", "q1", "n1", "n100"};
+  for (const CriteriaOrder order :
+       {CriteriaOrder::kDelayFirst, CriteriaOrder::kAreaFirst}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      std::vector<std::pair<std::int32_t, std::int32_t>> cands;  // net, edge
+      for (std::int32_t n = 0; n < static_cast<std::int32_t>(names.size());
+           ++n) {
+        const auto edges = static_cast<std::int32_t>(rng.uniform(1, 12));
+        for (std::int32_t e = 0; e < edges; ++e) cands.emplace_back(n, 2 * e);
+      }
+      const auto count = static_cast<std::int32_t>(cands.size());
+      std::vector<std::int32_t> perm(static_cast<std::size_t>(count));
+      for (std::int32_t i = 0; i < count; ++i) perm[static_cast<std::size_t>(i)] = i;
+      for (std::int32_t i = count - 1; i > 0; --i) {
+        std::swap(perm[static_cast<std::size_t>(i)],
+                  perm[static_cast<std::size_t>(rng.uniform(0, i))]);
+      }
+      SelectionIndex plain(order);
+      SelectionIndex permuted(order);
+      std::vector<std::int32_t> plain_slot(static_cast<std::size_t>(count));
+      std::vector<std::int32_t> permuted_slot(static_cast<std::size_t>(count));
+      for (std::int32_t i = 0; i < count; ++i) {
+        const auto& [n, e] = cands[static_cast<std::size_t>(i)];
+        plain_slot[static_cast<std::size_t>(i)] =
+            plain.add(NetId{n}, e, names[static_cast<std::size_t>(n)]);
+      }
+      for (const std::int32_t i : perm) {
+        const auto& [n, e] = cands[static_cast<std::size_t>(i)];
+        permuted_slot[static_cast<std::size_t>(i)] =
+            permuted.add(NetId{n}, e, names[static_cast<std::size_t>(n)]);
+      }
+      auto same_top = [&] {
+        const std::int32_t p = plain.top();
+        const std::int32_t q = permuted.top();
+        if (p < 0 || q < 0) return p == q;
+        return plain.net(p) == permuted.net(q) &&
+               plain.edge(p) == permuted.edge(q);
+      };
+      for (std::int32_t i = 0; i < count; ++i) {
+        const SelectionKey k = random_key(rng);
+        plain.set_key(plain_slot[static_cast<std::size_t>(i)], k);
+        permuted.set_key(permuted_slot[static_cast<std::size_t>(i)], k);
+      }
+      for (std::int32_t step = 0; step < 300; ++step) {
+        ASSERT_TRUE(same_top()) << "seed " << seed << " step " << step;
+        const auto batch = static_cast<std::int32_t>(rng.uniform(1, 4));
+        for (std::int32_t m = 0; m < batch; ++m) {
+          const auto i =
+              static_cast<std::size_t>(rng.uniform(0, count - 1));
+          if (rng.uniform(0, 9) < 7) {
+            const SelectionKey k = random_key(rng);
+            if (!plain.live(plain_slot[i])) continue;  // removed for good
+            plain.set_key(plain_slot[i], k);
+            permuted.set_key(permuted_slot[i], k);
+          } else {
+            plain.remove(plain_slot[i]);
+            permuted.remove(permuted_slot[i]);
+          }
+        }
+      }
+      ASSERT_TRUE(same_top());
+    }
+  }
+}
+
+// No key of a real route holds a NaN: the paper presets under the default
+// options, the RC delay model and per-net budgets.
+TEST(SelectionIndex, PaperRoutesNeverKeyNan) {
+  Counter& nan_keys = MetricsRegistry::global().counter(
+      "route.nan_keys", MetricScope::kNonDeterministic);
+  for (const char* preset : {"C1P1", "C2P1", "C3P1"}) {
+    for (int mode = 0; mode < 3; ++mode) {
+      SCOPED_TRACE(std::string(preset) + " mode " + std::to_string(mode));
+      Dataset design = make_dataset(preset);
+      RouterOptions options;
+      options.delay_model =
+          mode == 1 ? DelayModel::kElmoreRC : DelayModel::kLumpedC;
+      options.use_net_budgets = mode == 2;
+      const std::int64_t before = nan_keys.value();
+      GlobalRouter router(design.netlist, std::move(design.placement),
+                          design.tech, design.constraints, options);
+      (void)router.run();
+      EXPECT_EQ(nan_keys.value(), before);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // deletion sequence — at every thread count, across a population of
 // generated designs (blocked multi-shard designs, and single-component
 // designs that exercise the fallback).
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -23,23 +24,7 @@
 namespace bgr {
 namespace {
 
-/// Small block-structured spec: a handful of closed cones so the deletion
-/// loop decomposes into several shards while each route stays fast.
-CircuitSpec shard_spec(std::uint64_t seed, std::int32_t blocks) {
-  CircuitSpec spec;
-  spec.name = "SH" + std::to_string(seed);
-  spec.seed = seed;
-  spec.blocks = blocks;
-  spec.rows = 3;
-  spec.target_cells = 100 * blocks;
-  spec.levels = 5;
-  spec.primary_inputs = 6;
-  spec.primary_outputs = 6;
-  spec.diff_pairs = blocks;
-  spec.clock_buffers = 1;
-  spec.path_constraints = 10;
-  return spec;
-}
+using testutil::shard_spec;
 
 struct Routed {
   RouteOutcome outcome;
@@ -169,15 +154,14 @@ TEST(ShardDeletion, CrossShardResourceDisjointness) {
 }
 
 // Property: the decomposition — membership, shard order, and the
-// deterministic work counters the scale bench gates on — is a pure
-// function of the design, independent of the thread count.
+// per-shard commit counts — is a pure function of the design, independent
+// of the thread count.
 TEST(ShardDeletion, DecompositionThreadCountInvariant) {
   const CircuitSpec spec = shard_spec(310, 5);
   struct Snapshot {
     std::vector<std::vector<std::int32_t>> shards;
     std::vector<std::int32_t> net_ids;
     std::vector<std::int64_t> commits;
-    std::vector<std::int64_t> scans;
   };
   auto snapshot = [&](std::int32_t threads) {
     Dataset design = generate_circuit(spec);
@@ -193,7 +177,6 @@ TEST(ShardDeletion, DecompositionThreadCountInvariant) {
       s.net_ids.push_back(info.net.index());
     }
     s.commits = dec.commits;
-    s.scans = dec.scans;
     return s;
   };
   const Snapshot one = snapshot(1);
@@ -204,12 +187,11 @@ TEST(ShardDeletion, DecompositionThreadCountInvariant) {
     EXPECT_EQ(one.shards, n.shards);
     EXPECT_EQ(one.net_ids, n.net_ids);
     EXPECT_EQ(one.commits, n.commits);
-    EXPECT_EQ(one.scans, n.scans);
   }
 }
 
-// The shard work counters account for every committed deletion of the
-// initial phase (the only phase that shards).
+// The shard commit counters account for every committed deletion of the
+// initial phase (the only phase that shards its selection loop).
 TEST(ShardDeletion, CommitCountersMatchPhaseDeletions) {
   Dataset design = generate_circuit(shard_spec(320, 3));
   RouterOptions options;
@@ -220,15 +202,81 @@ TEST(ShardDeletion, CommitCountersMatchPhaseDeletions) {
   const ShardDecomposition& dec = router.shard_decomposition();
   ASSERT_GT(dec.shard_count(), 1);
   std::int64_t commits = 0;
-  std::int64_t scans = 0;
   for (std::int32_t s = 0; s < dec.shard_count(); ++s) {
     commits += dec.commits[static_cast<std::size_t>(s)];
-    scans += dec.scans[static_cast<std::size_t>(s)];
   }
   ASSERT_FALSE(outcome.phases.empty());
   EXPECT_EQ(outcome.phases[0].name, "initial");
   EXPECT_EQ(commits, outcome.phases[0].deletions);
-  EXPECT_GE(scans, commits);  // every commit was at least once scanned
+}
+
+// Cancel inside the selection loops (DESIGN.md §5): the predicate flips
+// at a chosen poll, counted by a dry run, and the run throws
+// CancelledError from inside a shard worker's loop — the parallel region
+// rethrows at its join. Flipping at the last poll before the first
+// replayed commit lands in the sharded initial loop; flipping at the very
+// last poll lands in the last shard-parallel area pass.
+TEST(ShardDeletion, CancelInsideShardWorkers) {
+  const CircuitSpec spec = shard_spec(341, 4);
+  struct DryRun {
+    std::int64_t polls = 0;
+    std::int64_t polls_before_first_commit = -1;
+  };
+  DryRun dry;
+  {
+    Dataset design = generate_circuit(spec);
+    RouterOptions options;
+    options.cancel_requested = [&dry] {
+      ++dry.polls;
+      return false;
+    };
+    options.deletion_observer = [&dry](NetId, std::int32_t) {
+      if (dry.polls_before_first_commit < 0) {
+        dry.polls_before_first_commit = dry.polls;
+      }
+    };
+    GlobalRouter router(design.netlist, std::move(design.placement),
+                        design.tech, design.constraints, options);
+    const RouteOutcome outcome = router.run();
+    ASSERT_GT(router.shard_decomposition().shard_count(), 1);
+    ASSERT_GT(outcome.phases.back().reroutes, 0);
+  }
+  ASSERT_GT(dry.polls_before_first_commit, 0);
+  struct Case {
+    const char* phase;
+    std::int64_t flip_at;    // 1-based poll that first returns true
+    bool commits_replayed;   // initial's commits reached the observer
+  };
+  for (const Case& c : {Case{"initial", dry.polls_before_first_commit, false},
+                        Case{"improve_area", dry.polls, true}}) {
+    for (const std::int32_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.phase) +
+                   " threads=" + std::to_string(threads));
+      Dataset design = generate_circuit(spec);
+      RouterOptions options;
+      options.threads = threads;
+      std::atomic<std::int64_t> polls{0};
+      options.cancel_requested = [&polls, flip = c.flip_at] {
+        return polls.fetch_add(1) + 1 >= flip;
+      };
+      std::atomic<std::int64_t> commits{0};
+      options.deletion_observer = [&commits](NetId, std::int32_t) {
+        commits.fetch_add(1);
+      };
+      GlobalRouter router(design.netlist, std::move(design.placement),
+                          design.tech, design.constraints, options);
+      try {
+        (void)router.run();
+        ADD_FAILURE() << "run() must throw CancelledError";
+      } catch (const CancelledError& e) {
+        EXPECT_NE(std::string(e.what()).find("edge deletion"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(commits.load() > 0, c.commits_replayed);
+      EXPECT_EQ(router.run_state(), GlobalRouter::RunState::kRunning);
+    }
+  }
 }
 
 }  // namespace

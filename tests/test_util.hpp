@@ -227,4 +227,22 @@ inline CircuitSpec small_spec(std::uint64_t seed) {
   return spec;
 }
 
+/// Small block-structured spec: a handful of closed cones so the deletion
+/// loop decomposes into several shards while each route stays fast.
+inline CircuitSpec shard_spec(std::uint64_t seed, std::int32_t blocks) {
+  CircuitSpec spec;
+  spec.name = "SH" + std::to_string(seed);
+  spec.seed = seed;
+  spec.blocks = blocks;
+  spec.rows = 3;
+  spec.target_cells = 100 * blocks;
+  spec.levels = 5;
+  spec.primary_inputs = 6;
+  spec.primary_outputs = 6;
+  spec.diff_pairs = blocks;
+  spec.clock_buffers = 1;
+  spec.path_constraints = 10;
+  return spec;
+}
+
 }  // namespace bgr::testutil

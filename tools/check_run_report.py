@@ -74,12 +74,15 @@ ROUTE_SEMANTIC_METRICS = (
     "steiner.relaxations",
     "steiner.cache_hits",
 )
-# The scale bench (bench_scale) routes a block-structured preset and
-# records the deletion loop's shard decomposition alongside throughput.
+# The scale bench (bench_scale) routes a block-structured preset at 1, 2
+# and 4 threads and records the deletion loop's shard decomposition, the
+# identity and speedup gates and the per-thread-count wall.
 SCALE_SECTIONS = ("design", "route", "shards", "result", "run")
-SCALE_SHARD_FIELDS = ("count", "scan_work", "commits", "lpt")
-SCALE_RESULT_FIELDS = ("nets_per_second_floor", "parallel_ratio_8",
-                       "sharded", "pass")
+SCALE_SHARD_FIELDS = ("count", "commits")
+SCALE_RESULT_FIELDS = ("nets_per_second_floor", "speedup_floor_4",
+                       "sharded", "identical", "pass")
+SCALE_RUN_FIELDS = ("seconds", "nets_per_second", "hardware_threads",
+                    "speedup_4", "speedup_gated", "threads")
 # The capacity bench (bench_capacity / bgr_route --min-capacity-search)
 # records the binary search's full probe transcript.
 CAPACITY_SECTIONS = ("design", "options", "capacity", "run")
@@ -182,20 +185,26 @@ def check_report(report, path):
         for field in SCALE_SHARD_FIELDS:
             if field not in shards:
                 fail(f"{path}: shards.{field} missing")
-        if not isinstance(shards["lpt"], list) or not shards["lpt"]:
-            fail(f"{path}: shards.lpt must be a non-empty array")
-        for entry in shards["lpt"]:
-            for field in ("workers", "makespan", "work_ratio"):
-                if field not in entry:
-                    fail(f"{path}: shards.lpt entry lacks '{field}': {entry}")
         result = report["result"]
         for field in SCALE_RESULT_FIELDS:
             if field not in result:
                 fail(f"{path}: result.{field} missing")
-        # The decomposition's counters must be self-consistent with the
-        # registry: shard.components counts one increment per sharded run.
-        if shards["count"] >= 0 and shards["scan_work"] < shards["commits"]:
-            fail(f"{path}: shards.scan_work < shards.commits")
+        run = report["run"]
+        for field in SCALE_RUN_FIELDS:
+            if field not in run:
+                fail(f"{path}: run.{field} missing")
+        threads = run["threads"]
+        if not isinstance(threads, list) or [
+                e.get("threads") for e in threads] != [1, 2, 4]:
+            fail(f"{path}: run.threads must list threads 1, 2 and 4")
+        for entry in threads:
+            for field in ("route_seconds", "phase_seconds"):
+                if field not in entry:
+                    fail(f"{path}: run.threads entry lacks '{field}': "
+                         f"{entry}")
+        # Every committed deletion of the sharded initial phase is counted.
+        if shards["count"] > 1 and shards["commits"] <= 0:
+            fail(f"{path}: a sharded run committed no deletion")
     if kind == "bench.capacity":
         for section in CAPACITY_SECTIONS:
             if section not in report:
