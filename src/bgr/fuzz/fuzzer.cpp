@@ -88,7 +88,6 @@ const char* fuzz_mode_name(FuzzMode mode) {
     case FuzzMode::kRouteText: return "route";
     case FuzzMode::kJsonText: return "json";
     case FuzzMode::kServeText: return "serve";
-    case FuzzMode::kSteinerDominance: return "steiner-dominance";
   }
   return "?";
 }
@@ -99,20 +98,18 @@ FuzzCase fuzz_one(std::uint64_t seed, FuzzMode mode,
   result.seed = seed;
   result.mode = mode;
 
-  if (mode == FuzzMode::kSpec || mode == FuzzMode::kSteinerDominance) {
-    const auto check = mode == FuzzMode::kSpec ? &check_spec
-                                               : &check_steiner_spec;
+  if (mode == FuzzMode::kSpec) {
     const CircuitSpec spec = sample_spec(seed);
-    result.failure = (*check)(spec, options);
+    result.failure = check_spec(spec, options);
     if (result.failure) {
       CircuitSpec minimal = spec;
       if (shrink) {
         const std::string oracle = result.failure->oracle;
         minimal = shrink_spec(spec, [&](const CircuitSpec& candidate) {
-          const auto failure = (*check)(candidate, options);
+          const auto failure = check_spec(candidate, options);
           return failure && failure->oracle == oracle;
         });
-        result.failure = (*check)(minimal, options);  // refresh detail
+        result.failure = check_spec(minimal, options);  // refresh detail
       }
       result.repro = spec_to_text(minimal);
     }

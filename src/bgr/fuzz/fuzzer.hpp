@@ -12,17 +12,13 @@ namespace bgr {
 /// What one fuzz case exercises. kSpec drives the full routing pipeline
 /// on a sampled extreme-corner circuit; the text modes drive the parsers
 /// with structured corruptions of valid artifacts (kServeText: the
-/// bgr_serve daemon's NDJSON request frames). kSteinerDominance drives the
-/// cost-distance steiner backend through check_steiner_spec on the same
-/// sampled circuits; it is opt-in via --mode (not part of the default
-/// rotation, which keeps the historical seed→mode mapping stable).
+/// bgr_serve daemon's NDJSON request frames).
 enum class FuzzMode {
   kSpec,
   kDesignText,
   kRouteText,
   kJsonText,
   kServeText,
-  kSteinerDominance,
 };
 
 [[nodiscard]] const char* fuzz_mode_name(FuzzMode mode);

@@ -1,7 +1,5 @@
 #include "bgr/fuzz/oracles.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <typeinfo>
 #include <vector>
@@ -203,12 +201,6 @@ std::string first_divergence(const PipelineResult& a,
 
 }  // namespace
 
-double steiner_dominance_tol_ps(double baseline_critical_ps,
-                                const FuzzOptions& options) {
-  return std::max(options.dominance_tol_ps,
-                  options.dominance_rel_tol * std::abs(baseline_critical_ps));
-}
-
 std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
                                       const FuzzOptions& options) {
   PipelineResult serial;
@@ -269,73 +261,6 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
                          "threads 1 vs " +
                              std::to_string(options.alt_threads) +
                              " differ in " + diverged};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<FuzzFailure> check_steiner_spec(const CircuitSpec& spec,
-                                              const FuzzOptions& options) {
-  PipelineResult serial;
-  if (auto failure =
-          run_pipeline(spec, 1, PathSearchBackend::kSteiner, &serial)) {
-    return failure;
-  }
-
-  if (auto failure = check_roundtrip("route", serial.route_text, true)) {
-    return failure;
-  }
-
-  // Oracle: the steiner engine is allowed to differ from the reference,
-  // but must be deterministic with respect to the execution schedule —
-  // bit-identical across thread counts, including its own effort counters.
-  if (options.alt_threads > 1) {
-    PipelineResult threaded;
-    if (auto failure = run_pipeline(spec, options.alt_threads,
-                                    PathSearchBackend::kSteiner, &threaded)) {
-      return failure;
-    }
-    const std::string diverged =
-        first_divergence(serial, threaded, /*compare_path_effort=*/true);
-    if (!diverged.empty()) {
-      return FuzzFailure{"thread-divergence",
-                         "steiner threads 1 vs " +
-                             std::to_string(options.alt_threads) +
-                             " differ in " + diverged};
-    }
-  }
-
-  // Oracle: margin dominance against the reference union-of-shortest-paths
-  // pipeline. The steiner trees trade per-sink path length for total net
-  // capacitance, which under the lumped-C global model can only help — so
-  // no constraint may end up worse than the serial Dijkstra baseline
-  // beyond the tolerance, and the wirelengths are reported either way.
-  PipelineResult baseline;
-  if (auto failure =
-          run_pipeline(spec, 1, PathSearchBackend::kDijkstra, &baseline)) {
-    return failure;
-  }
-  const std::string lengths =
-      "; wirelength steiner " + std::to_string(serial.outcome.total_length_um) +
-      " um vs dijkstra " + std::to_string(baseline.outcome.total_length_um) +
-      " um";
-  if (serial.margins.size() != baseline.margins.size()) {
-    return FuzzFailure{"steiner-dominance",
-                       "constraint count diverged: steiner " +
-                           std::to_string(serial.margins.size()) +
-                           " vs dijkstra " +
-                           std::to_string(baseline.margins.size()) + lengths};
-  }
-  const double tol = steiner_dominance_tol_ps(
-      baseline.outcome.critical_delay_ps, options);
-  for (std::size_t i = 0; i < serial.margins.size(); ++i) {
-    if (serial.margins[i] < baseline.margins[i] - tol) {
-      return FuzzFailure{
-          "steiner-dominance",
-          "constraint " + std::to_string(i) + ": steiner margin " +
-              std::to_string(serial.margins[i]) + " ps < dijkstra " +
-              std::to_string(baseline.margins[i]) + " ps - tol " +
-              std::to_string(tol) + lengths};
     }
   }
   return std::nullopt;

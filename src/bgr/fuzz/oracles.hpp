@@ -19,24 +19,7 @@ struct FuzzFailure {
 struct FuzzOptions {
   /// Second thread count for the determinism oracle (the first is 1).
   std::int32_t alt_threads = 4;
-  /// Tolerance of the steiner-dominance oracle, as
-  ///   max(dominance_tol_ps, dominance_rel_tol · baseline critical delay).
-  /// The improvement phases are greedy and react to the different start
-  /// topology, so individual margins wobble a few percent of the critical
-  /// delay in both directions; the oracle bounds that wobble instead of
-  /// asserting strict per-constraint improvement. Measured worst case over
-  /// the sampled spec corpus (seeds 1..200): 46.7 ps / 5.3% relative — the
-  /// defaults leave ~1.5x headroom while still catching a backend that
-  /// genuinely trades a constraint away.
-  double dominance_tol_ps = 2.0;
-  double dominance_rel_tol = 0.08;
 };
-
-/// The per-constraint slack the steiner-dominance oracle grants for a
-/// baseline run whose critical delay is `baseline_critical_ps` (exposed so
-/// test batteries can assert with the exact same bound).
-[[nodiscard]] double steiner_dominance_tol_ps(double baseline_critical_ps,
-                                              const FuzzOptions& options);
 
 /// Full-pipeline oracles over a generated circuit. The spec must be valid
 /// (as sample_spec produces); every failure is a bug:
@@ -52,19 +35,6 @@ struct FuzzOptions {
 ///   roundtrip          saved design or route text fails to re-parse, or
 ///                      the write→read→write fixpoint breaks
 [[nodiscard]] std::optional<FuzzFailure> check_spec(
-    const CircuitSpec& spec, const FuzzOptions& options = {});
-
-/// Oracles for the cost-distance steiner backend (DESIGN.md §16), which is
-/// *allowed* to produce different trees than the reference engines — so
-/// instead of bit-identity to Dijkstra it must satisfy, on every spec:
-///   crash / verify / sta-recompute   as in check_spec, on the steiner run
-///   thread-divergence  steiner itself is bit-identical (including the
-///                      path-effort counters) across 1 and alt_threads
-///   steiner-dominance  per constraint, the steiner margin is no worse
-///                      than the serial Dijkstra baseline beyond a small
-///                      tolerance; the failure detail reports both margins
-///                      and both total wirelengths
-[[nodiscard]] std::optional<FuzzFailure> check_steiner_spec(
     const CircuitSpec& spec, const FuzzOptions& options = {});
 
 /// Parser robustness oracles over (possibly corrupted) text: the parser

@@ -1,34 +1,10 @@
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "bgr/timing/analyzer.hpp"
 
 namespace bgr {
-
-/// Maps a net's worst constraint slack to the cost-distance sink weight w_s
-/// used by the steiner backend (DESIGN.md §16). `scale_ps` sets the slack
-/// magnitude that counts as "comfortable" — callers pass the largest
-/// constraint limit; a non-positive scale falls back to 1 ps.
-///
-///   slack = +inf / NaN  →  0        (unconstrained: pure wirelength)
-///   slack > 0           →  1 / (1 + slack/scale)   (→ 0 as slack grows)
-///   slack ≤ 0           →  min(1 − slack/scale, 8) (≥ 1, grows with the
-///                                                    violation, capped)
-///
-/// Strictly monotone decreasing in slack until the cap, continuous at
-/// slack = 0 (both branches give 1), and bounded so one hopeless net
-/// cannot distort its tree into a pure shortest-path star.
-[[nodiscard]] inline double slack_to_weight(double slack_ps, double scale_ps) {
-  if (!std::isfinite(slack_ps)) return 0.0;
-  const double scale = scale_ps > 0.0 ? scale_ps : 1.0;
-  if (slack_ps <= 0.0) {
-    return std::min(1.0 - slack_ps / scale, 8.0);
-  }
-  return 1.0 / (1.0 + slack_ps / scale);
-}
 
 /// Ordering of the heuristic tiers (§3.4 / §3.5): the initial routing and
 /// the delay phases compare delay criteria first; the area-improvement

@@ -5,7 +5,6 @@
 #include "bgr/common/check.hpp"
 #include "bgr/exec/exec_context.hpp"
 #include "bgr/obs/metrics.hpp"
-#include "bgr/route/steiner_tree.hpp"
 
 namespace bgr {
 
@@ -15,8 +14,6 @@ const char* path_search_backend_name(PathSearchBackend backend) {
       return "dijkstra";
     case PathSearchBackend::kCached:
       return "cached";
-    case PathSearchBackend::kSteiner:
-      return "steiner";
   }
   return "unknown";
 }
@@ -357,8 +354,7 @@ PathSearchEngine::~PathSearchEngine() = default;
 void PathSearchEngine::refresh_cache(const SmallGraph& graph,
                                      std::int32_t source,
                                      const std::vector<std::int32_t>& terminals,
-                                     SearchCache* cache,
-                                     const std::vector<double>* sink_weights) {
+                                     SearchCache* cache) {
   const std::int32_t slot = exec_ != nullptr ? exec_->current_slot() : 0;
   BGR_CHECK(slot >= 0 &&
             slot < static_cast<std::int32_t>(scratch_.size()));
@@ -366,33 +362,6 @@ void PathSearchEngine::refresh_cache(const SmallGraph& graph,
   PathMetrics& metrics = path_metrics();
   SearchEffort effort;
   cache->valid = false;
-
-  if (backend_ == PathSearchBackend::kSteiner) {
-    // Cone repair is unsound for greedy construction (a deleted edge can
-    // reshape every later attachment), so the cache memoizes only the
-    // no-skip tree built with the *live* query configuration — the same
-    // weights tentative_tree would pass. The Dijkstra labels and settle
-    // sequence stay empty; skip queries rebuild from scratch.
-    const SearchEffort steiner_effort =
-        steiner_tree_search(graph, source, terminals, sink_weights,
-                            SmallGraph::kNone, &cache->tree);
-    cache->dist.clear();
-    cache->seq.clear();
-    cache->settle_order.clear();
-    cache->in_tree.assign(static_cast<std::size_t>(graph.edge_count()), 0);
-    for (const std::int32_t e : cache->tree) {
-      cache->in_tree[static_cast<std::size_t>(e)] = 1;
-    }
-    cache->valid = true;
-    metrics.cache_builds.add(1);
-    metrics.pops.add(steiner_effort.pops);
-    metrics.relaxations.add(steiner_effort.relaxations);
-    metrics.queue_pushes.add(steiner_effort.queue_pushes);
-    pops_.fetch_add(steiner_effort.pops, std::memory_order_relaxed);
-    relaxations_.fetch_add(steiner_effort.relaxations,
-                           std::memory_order_relaxed);
-    return;
-  }
 
   if (scratch.begin(graph.vertex_count(), graph.edge_count())) {
     metrics.scratch_reuses.add(1);
@@ -426,31 +395,12 @@ void PathSearchEngine::tentative_tree(const SmallGraph& graph,
                                       std::int32_t source,
                                       const std::vector<std::int32_t>& terminals,
                                       std::int32_t skip_edge,
-                                      std::vector<std::int32_t>* out,
-                                      const std::vector<double>* sink_weights) {
+                                      std::vector<std::int32_t>* out) {
   const std::int32_t slot = exec_ != nullptr ? exec_->current_slot() : 0;
   BGR_CHECK(slot >= 0 &&
             slot < static_cast<std::int32_t>(scratch_.size()));
   searches_.fetch_add(1, std::memory_order_relaxed);
   PathMetrics& metrics = path_metrics();
-
-  if (backend_ == PathSearchBackend::kSteiner) {
-    metrics.searches.add(1);
-    if (cache != nullptr && cache->valid && skip_edge == SmallGraph::kNone) {
-      *out = cache->tree;
-      metrics.cache_hits.add(1);
-      note_steiner_cache_hit();
-      return;
-    }
-    const SearchEffort effort = steiner_tree_search(
-        graph, source, terminals, sink_weights, skip_edge, out);
-    metrics.pops.add(effort.pops);
-    metrics.relaxations.add(effort.relaxations);
-    metrics.queue_pushes.add(effort.queue_pushes);
-    pops_.fetch_add(effort.pops, std::memory_order_relaxed);
-    relaxations_.fetch_add(effort.relaxations, std::memory_order_relaxed);
-    return;
-  }
 
   if (backend_ == PathSearchBackend::kCached && cache != nullptr &&
       cache->valid) {

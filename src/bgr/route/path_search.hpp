@@ -24,14 +24,7 @@ class ExecContext;
 /// alone (see derive_tree), so the resulting tentative trees — and
 /// therefore every score, every deletion and the final RouteOutcome — are
 /// bit-identical.
-/// kSteiner is the cost-distance tree construction (DESIGN.md §16): it
-/// greedily merges sink paths under cost(T) + Σ_s w_s · dist_T(root, s)
-/// with per-sink weights derived from constraint slack. It is the one
-/// backend *allowed* to produce different trees than the reference — its
-/// correctness contract is "deterministic, verifier-clean and
-/// margin-dominant", enforced by the test_steiner oracle battery rather
-/// than bit-identity with Dijkstra.
-enum class PathSearchBackend { kDijkstra, kCached, kSteiner };
+enum class PathSearchBackend { kDijkstra, kCached };
 
 /// Canonical CLI/serve/report spelling of a backend.
 [[nodiscard]] const char* path_search_backend_name(PathSearchBackend backend);
@@ -182,31 +175,22 @@ class PathSearchEngine {
   /// graph's serial mutation points only — the cache is read lock-free by
   /// concurrent scorers. The build's pops/relaxations fold into the effort
   /// totals, but it is not counted as a search: `searches` stays the query
-  /// count, identical across backends. The Steiner backend memoizes its
-  /// no-skip tree instead (built with exactly the live query
-  /// configuration: same sink weights), leaving
-  /// dist/seq/settle_order empty — cone repair is unsound for it, so
-  /// skip-edge queries always run a full construction.
+  /// count, identical across backends.
   void refresh_cache(const SmallGraph& graph, std::int32_t source,
                      const std::vector<std::int32_t>& terminals,
-                     SearchCache* cache,
-                     const std::vector<double>* sink_weights = nullptr);
+                     SearchCache* cache);
 
   /// Runs one tentative-tree search using the calling thread's scratch.
   /// `cache` may be null; a valid cache lets the cached backend answer the
   /// query from the cached labels (cone repair) instead of a full search —
-  /// bit-identically, see SearchCache — and lets the Steiner backend return
-  /// its memoized no-skip tree. Without a valid cache the cached backend
-  /// runs the reference search. The Dijkstra backend never consults it.
-  /// `sink_weights` (Steiner only) aligns index-for-index with
-  /// `terminals`; null or empty means w = 0 everywhere (pure length
-  /// minimization).
+  /// bit-identically, see SearchCache. Without a valid cache the cached
+  /// backend runs the reference search. The Dijkstra backend never
+  /// consults it.
   void tentative_tree(const SmallGraph& graph, const SearchCache* cache,
                       std::int32_t source,
                       const std::vector<std::int32_t>& terminals,
                       std::int32_t skip_edge,
-                      std::vector<std::int32_t>* out,
-                      const std::vector<double>* sink_weights = nullptr);
+                      std::vector<std::int32_t>* out);
 
   [[nodiscard]] PathSearchStats stats() const;
 

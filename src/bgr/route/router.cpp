@@ -12,7 +12,6 @@
 #include "bgr/obs/metrics.hpp"
 #include "bgr/obs/trace.hpp"
 #include "bgr/route/selection_index.hpp"
-#include "bgr/route/steiner_tree.hpp"
 
 namespace bgr {
 
@@ -120,9 +119,7 @@ GlobalRouter::GlobalRouter(Netlist& netlist, Placement placement,
                                            : options.threads)),
       path_engine_(std::make_unique<PathSearchEngine>(options.path_search,
                                                       exec_.get())),
-      scratch_(static_cast<std::size_t>(exec_->thread_count())) {
-  register_steiner_metrics();
-}
+      scratch_(static_cast<std::size_t>(exec_->thread_count())) {}
 
 GlobalRouter::~GlobalRouter() = default;
 
@@ -145,15 +142,6 @@ NetId GlobalRouter::primary_of(NetId net) const {
 bool GlobalRouter::timing_active_for(NetId net) const {
   return options_.use_constraints &&
          !analyzer_->constraints_of_net(net).empty();
-}
-
-std::vector<double> GlobalRouter::sink_weights_for(NetId net) const {
-  std::vector<double> out;
-  if (options_.path_search != PathSearchBackend::kSteiner) return out;
-  const double w =
-      net.index() < net_sink_weight_.size() ? net_sink_weight_.at(net) : 0.0;
-  out.assign(graphs_.at(net)->terminal_vertices().size(), w);
-  return out;
 }
 
 std::int32_t GlobalRouter::net_density_width(NetId net) const {
@@ -186,8 +174,7 @@ void GlobalRouter::build_all_graphs() {
         }
         // Attach inside the region so the search caches (one reference
         // search per net) also build concurrently.
-        const std::vector<double> weights = sink_weights_for(n);
-        graphs_[n]->set_path_search(path_engine_.get(), &weights);
+        graphs_[n]->set_path_search(path_engine_.get());
       },
       /*grain=*/1);
   for (const NetId n : netlist_.nets()) {
@@ -1395,24 +1382,6 @@ RouteOutcome GlobalRouter::run() {
   widen_pitches_ = pipeline.widen_pitches;
   route_metrics().feed_cells.add(feed_cells_added_);
   route_metrics().widen_pitches.add(widen_pitches_);
-
-  // Cost-distance sink weights (steiner backend): derived from the same
-  // static zero-capacitance slacks the §3.1 net ordering uses, so they are
-  // fixed for the whole run — refine/reroute rebuilds see identical
-  // weights, and the inputs are relabeling- and thread-invariant.
-  net_sink_weight_.assign(static_cast<std::size_t>(netlist_.net_count()), 0.0);
-  if (options_.path_search == PathSearchBackend::kSteiner &&
-      options_.use_constraints) {
-    double scale_ps = 0.0;
-    for (const PathConstraint& pc : constraints_) {
-      scale_ps = std::max(scale_ps, pc.limit_ps);
-    }
-    for (const NetId n : netlist_.nets()) {
-      if (n.index() < slacks.size()) {
-        net_sink_weight_[n] = slack_to_weight(slacks.at(n), scale_ps);
-      }
-    }
-  }
 
   poll_cancel(options_, "routing-graph construction");
   density_ = std::make_unique<DensityMap>(placement_.channel_count(),

@@ -81,10 +81,7 @@ struct RouterOptions {
   /// labels bit for bit and the tree is derived from distances alone, so
   /// the RouteOutcome is bit-identical either way — the cache just
   /// re-searches only the skipped edge's dependency cone per candidate
-  /// evaluation. The third backend, kSteiner, builds cost-distance trees
-  /// (DESIGN.md §16) and is *allowed* to produce a different RouteOutcome:
-  /// its contract is deterministic, verifier-clean and margin-dominant vs
-  /// the Dijkstra baseline, enforced by the test_steiner oracle battery.
+  /// evaluation.
   PathSearchBackend path_search = PathSearchBackend::kCached;
   /// Test hook: called for every committed edge deletion (differential
   /// pairs fire once, for the primary), in the canonical serial commit
@@ -229,10 +226,6 @@ class GlobalRouter {
   };
 
   void build_all_graphs();
-  /// Uniform per-sink weight vector for one net's steiner constructions
-  /// (empty unless the steiner backend is active), sized to the graph's
-  /// terminal list from net_sink_weight_.
-  [[nodiscard]] std::vector<double> sink_weights_for(NetId net) const;
   void register_graph_density(NetId net);
   void unregister_graph_density(NetId net);
   void refresh_net_estimate(NetId net,
@@ -392,11 +385,6 @@ class GlobalRouter {
   IdVector<NetId, std::unique_ptr<RoutingGraph>> graphs_;
   IdVector<NetId, double> net_budget_ps_;  // kNetBudgets mode only
   IdVector<NetId, double> extra_um_;       // back-annotated length corrections
-  /// Per-net cost-distance sink weight (steiner backend only): derived once
-  /// in run() from the static zero-capacitance slacks, so every later
-  /// rebuild (refine, reroute) sees the same weights — a relabeling- and
-  /// thread-invariant input.
-  IdVector<NetId, double> net_sink_weight_;
   ShardDecomposition shards_;
   /// Shard of each primary net for the §3.5 passes: the initial phase's
   /// decomposition, with shards_.shard_count() for nets in no shard. Empty

@@ -156,9 +156,9 @@ void RoutingGraph::reset() {
 
 void RoutingGraph::refresh_search_cache() {
   if (path_engine_ != nullptr &&
-      path_engine_->backend() != PathSearchBackend::kDijkstra) {
+      path_engine_->backend() == PathSearchBackend::kCached) {
     path_engine_->refresh_cache(graph_, driver_vertex_, terminal_vertices_,
-                                &search_cache_, &sink_weights_);
+                                &search_cache_);
   }
 }
 
@@ -256,16 +256,8 @@ double RoutingGraph::estimated_length_um(std::int32_t skip_edge) const {
   return total;
 }
 
-void RoutingGraph::set_path_search(PathSearchEngine* engine,
-                                   const std::vector<double>* sink_weights) {
+void RoutingGraph::set_path_search(PathSearchEngine* engine) {
   path_engine_ = engine;
-  if (engine != nullptr && engine->backend() != PathSearchBackend::kDijkstra) {
-    sink_weights_.clear();
-    if (sink_weights != nullptr &&
-        engine->backend() == PathSearchBackend::kSteiner) {
-      sink_weights_ = *sink_weights;
-    }
-  }
   refresh_search_cache();
 }
 
@@ -274,8 +266,7 @@ std::vector<std::int32_t> RoutingGraph::tentative_tree_edges(
   std::vector<std::int32_t> out;
   if (path_engine_ != nullptr) {
     path_engine_->tentative_tree(graph_, &search_cache_, driver_vertex_,
-                                 terminal_vertices_, skip_edge, &out,
-                                 &sink_weights_);
+                                 terminal_vertices_, skip_edge, &out);
     return out;
   }
   // Standalone graphs (unit tests, diagnostics) never see an engine: run

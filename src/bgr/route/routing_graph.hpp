@@ -78,14 +78,10 @@ class RoutingGraph {
 
   /// Attaches the router's shared path-search engine; all tentative-tree
   /// searches then run through it (arena scratch, backend choice, effort
-  /// accounting). With the cached or steiner backend this also builds the
-  /// graph's SearchCache. The steiner backend additionally takes
-  /// `sink_weights` (aligned with terminal_vertices(); null ⇒ all zero),
-  /// copied and passed to every construction. Graphs without an engine
-  /// (standalone tests, tools) fall back to the reference Dijkstra backend
-  /// over a thread-local scratch.
-  void set_path_search(PathSearchEngine* engine,
-                       const std::vector<double>* sink_weights = nullptr);
+  /// accounting). With the cached backend this also builds the graph's
+  /// SearchCache. Graphs without an engine (standalone tests, tools) fall
+  /// back to the reference Dijkstra backend over a thread-local scratch.
+  void set_path_search(PathSearchEngine* engine);
 
   /// Returns the graph to its state right after construction: the alive
   /// flags and bridge flags snapshotted then, adjacency lists rebuilt in
@@ -185,7 +181,6 @@ class RoutingGraph {
   std::vector<bool> initial_flags_;
   double channel_depth_est_um_ = 0.0;
   PathSearchEngine* path_engine_ = nullptr;  // not owned
-  std::vector<double> sink_weights_;  // steiner only; aligned with terminals
   /// No-skip reference search over the current graph, rebuilt at the serial
   /// mutation points (set_path_search, delete_edge) and read lock-free by
   /// concurrent scorers; lets the cached engine answer most skip-edge queries

@@ -61,11 +61,8 @@ void parse_options(const JsonValue& node, JobRequest* out) {
         out->options.path_search = PathSearchBackend::kCached;
       } else if (backend == "dijkstra") {
         out->options.path_search = PathSearchBackend::kDijkstra;
-      } else if (backend == "steiner") {
-        out->options.path_search = PathSearchBackend::kSteiner;
       } else {
-        bad("'path_search' must be \"cached\", \"dijkstra\" or \"steiner\", "
-            "got \"" +
+        bad("'path_search' must be \"cached\" or \"dijkstra\", got \"" +
             backend + "\"");
       }
     } else if (key == "improvement_passes") {

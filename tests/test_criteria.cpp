@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 
 namespace bgr {
@@ -174,55 +173,6 @@ TEST(Criteria, KeyCompareTreatsNanTierAsUnordered) {
   // Under kAreaFirst the density tiers come first and decide.
   EXPECT_LT(key_compare(a, b, CriteriaOrder::kAreaFirst), 0);
   EXPECT_GT(key_compare(b, a, CriteriaOrder::kAreaFirst), 0);
-}
-
-// --------------------------------------------------------------------------
-// slack_to_weight (cost-distance sink weights, DESIGN.md §16)
-
-TEST(SlackToWeight, MonotoneTighterSlackLargerWeight) {
-  const double scale = 1000.0;
-  // Strictly decreasing in slack across the whole finite range (until the
-  // violation cap): a tighter path always pulls its sinks harder.
-  const double slacks[] = {-5000.0, -1000.0, -1.0, 0.0,
-                           1.0,     100.0,   1000.0, 10000.0};
-  for (std::size_t i = 1; i < std::size(slacks); ++i) {
-    EXPECT_GT(slack_to_weight(slacks[i - 1], scale),
-              slack_to_weight(slacks[i], scale))
-        << "slack " << slacks[i - 1] << " vs " << slacks[i];
-  }
-}
-
-TEST(SlackToWeight, ZeroSlackEdgeCases) {
-  const double scale = 500.0;
-  // Exactly critical: both formula branches meet at weight 1.
-  EXPECT_EQ(slack_to_weight(0.0, scale), 1.0);
-  // Positive slack stays strictly inside (0, 1).
-  EXPECT_LT(slack_to_weight(1e-9, scale), 1.0);
-  EXPECT_GT(slack_to_weight(1e6, scale), 0.0);
-  EXPECT_LT(slack_to_weight(1e6, scale), 0.01);
-}
-
-TEST(SlackToWeight, NegativeSlackGrowsAndCaps) {
-  const double scale = 1000.0;
-  // Violations weigh at least as much as a critical path...
-  EXPECT_GE(slack_to_weight(-1.0, scale), 1.0);
-  EXPECT_EQ(slack_to_weight(-1000.0, scale), 2.0);
-  // ...and the cap keeps one hopeless net from degenerating to a pure
-  // shortest-path star.
-  EXPECT_EQ(slack_to_weight(-1e9, scale), 8.0);
-  EXPECT_EQ(slack_to_weight(-7000.0, scale), 8.0);
-}
-
-TEST(SlackToWeight, UnconstrainedAndDegenerateInputs) {
-  // +inf slack (no constraint covers the net) and NaN both mean "pure
-  // wirelength".
-  EXPECT_EQ(slack_to_weight(std::numeric_limits<double>::infinity(), 100.0),
-            0.0);
-  EXPECT_EQ(slack_to_weight(std::nan(""), 100.0), 0.0);
-  // A non-positive scale falls back to 1 ps instead of dividing by zero.
-  EXPECT_EQ(slack_to_weight(0.0, 0.0), 1.0);
-  EXPECT_EQ(slack_to_weight(-1.0, 0.0), 2.0);
-  EXPECT_TRUE(std::isfinite(slack_to_weight(123.0, -5.0)));
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Differential battery for the path-search engines (DESIGN.md §11): on
-// dozens of fuzz-sampled designs, every engine enumerated by
-// testutil::all_path_search_engines() is swept automatically — members of
-// the bit-identical family must reproduce the reference binary-heap
-// Dijkstra exactly (per-search tentative trees during live routing, and
-// the full pipeline outcome: delay, length, margins, per-net routed
-// lengths, per-phase deletion counts), and every engine must be
-// bit-identical to itself across 1 and 8 threads.
+// dozens of fuzz-sampled designs, the cached engine must reproduce the
+// reference binary-heap Dijkstra exactly (per-search tentative trees
+// during live routing, and the full pipeline outcome: delay, length,
+// margins, per-net routed lengths, per-phase deletion counts), and both
+// engines must be bit-identical to themselves across 1 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +15,6 @@
 #include "bgr/gen/generator.hpp"
 #include "bgr/route/path_search.hpp"
 #include "bgr/route/router.hpp"
-#include "test_util.hpp"
 
 namespace bgr {
 namespace {
@@ -152,30 +149,24 @@ TEST(PathSearchDifferential, TentativeTreesBitIdenticalDuringRouting) {
 }
 
 TEST(PathSearchDifferential, PipelineBitIdenticalAcrossBackends) {
-  const std::vector<testutil::EngineInfo> engines =
-      testutil::all_path_search_engines();
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const CircuitSpec spec = sample_spec(seed);
     const PipelineSnapshot reference =
         route_pipeline(spec, PathSearchBackend::kDijkstra, 1);
-    for (const testutil::EngineInfo& engine : engines) {
-      SCOPED_TRACE(engine.name);
-      const bool is_reference =
-          engine.backend == PathSearchBackend::kDijkstra;
-      // Engines outside the bit-identical family only join the (cheaper)
-      // every-fifth-seed thread sweep here; the rest of their contract
-      // lives in their own oracle battery (test_steiner).
-      if (!engine.bit_identical_to_reference && seed % 5 != 0) continue;
+    for (const PathSearchBackend backend :
+         {PathSearchBackend::kDijkstra, PathSearchBackend::kCached}) {
+      SCOPED_TRACE(path_search_backend_name(backend));
+      const bool is_reference = backend == PathSearchBackend::kDijkstra;
       const PipelineSnapshot serial =
-          is_reference ? reference : route_pipeline(spec, engine.backend, 1);
-      if (engine.bit_identical_to_reference && !is_reference) {
+          is_reference ? reference : route_pipeline(spec, backend, 1);
+      if (!is_reference) {
         expect_identical(serial, reference, /*compare_path_effort=*/false);
       }
       // Every fifth seed also crosses thread counts, per engine: the
       // per-slot arenas must not leak state between searches.
       if (seed % 5 == 0) {
-        expect_identical(serial, route_pipeline(spec, engine.backend, 8),
+        expect_identical(serial, route_pipeline(spec, backend, 8),
                          /*compare_path_effort=*/true);
       }
     }

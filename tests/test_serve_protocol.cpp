@@ -95,6 +95,8 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
       "\"options\":{\"path_search\":\"bfs\"}}",    // bad enum
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"path_search\":\"steiner\"}}",  // not an engine
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
       "\"options\":{\"lookahead\":\"map\"}}",    // removed option
       "{\"cancel\":\"j\",\"ping\":true}",     // control with extra field
       "{\"id\":\"j\",\"dataset\":\"C1P1\"",   // truncated JSON
@@ -111,6 +113,12 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
   EXPECT_NE(lookahead.error.find("unknown option 'lookahead'"),
             std::string::npos)
       << lookahead.error;
+  const ParsedRequest removed = parse_request_line(
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"path_search\":\"steiner\"}}");
+  EXPECT_NE(removed.error.find("\"cached\" or \"dijkstra\""),
+            std::string::npos)
+      << removed.error;
 }
 
 TEST(ServeProtocol, ResponsesSerializeToOneLine) {

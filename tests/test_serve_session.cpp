@@ -245,20 +245,20 @@ TEST(RequestResultKey, SeparatesOptionsAndDesigns) {
             request_result_key(a, design_key));
 }
 
-TEST(RoutingSession, SteinerEngineGetsItsOwnResultCacheEntry) {
-  // Two jobs differing only in `--path-search steiner` vs `cached` must
-  // land in distinct result-cache slots (the key mixes the engine) and
-  // produce distinct digests — the steiner backend is *allowed* to route
-  // differently, so serving it a cached-engine result would be a wrong
-  // answer.
+TEST(RoutingSession, EachEngineGetsItsOwnResultCacheEntry) {
+  // Two jobs differing only in `--path-search dijkstra` vs `cached` must
+  // land in distinct result-cache slots (the key mixes the engine). The
+  // engines route bit-identically, but the digest also covers the
+  // per-phase search effort (`path_pops`), so each engine's result is its
+  // own answer.
   DesignCache cache;
   const JobRequest cached = small_request("a", 12);
-  JobRequest steiner = cached;
-  steiner.options.path_search = PathSearchBackend::kSteiner;
+  JobRequest dijkstra = cached;
+  dijkstra.options.path_search = PathSearchBackend::kDijkstra;
 
   const std::uint64_t design_key = DesignCache::text_key(cached.design_text);
   EXPECT_NE(request_result_key(cached, design_key),
-            request_result_key(steiner, design_key));
+            request_result_key(dijkstra, design_key));
 
   RoutingSession first(cached, &cache, nullptr);
   const SessionResult a = first.run();
@@ -266,14 +266,14 @@ TEST(RoutingSession, SteinerEngineGetsItsOwnResultCacheEntry) {
   EXPECT_EQ(a.cache, "miss");
 
   // Same design text: the parsed dataset is reused, the result is not.
-  RoutingSession second(steiner, &cache, nullptr);
+  RoutingSession second(dijkstra, &cache, nullptr);
   const SessionResult s = second.run();
   ASSERT_EQ(s.status, SessionStatus::kDone);
   EXPECT_EQ(s.cache, "design-hit");
   EXPECT_NE(s.digest, a.digest);
 
-  // Resubmitting the steiner job hits its own (steiner-built) entry.
-  RoutingSession repeat(steiner, &cache, nullptr);
+  // Resubmitting the dijkstra job hits its own (dijkstra-built) entry.
+  RoutingSession repeat(dijkstra, &cache, nullptr);
   const SessionResult again = repeat.run();
   ASSERT_EQ(again.status, SessionStatus::kDone);
   EXPECT_EQ(again.cache, "result-hit");

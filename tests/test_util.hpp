@@ -15,33 +15,9 @@
 #include "bgr/gen/generator.hpp"
 #include "bgr/layout/placement.hpp"
 #include "bgr/netlist/netlist.hpp"
-#include "bgr/route/path_search.hpp"
 #include "bgr/timing/analyzer.hpp"
 
 namespace bgr::testutil {
-
-/// One registered path-search engine, for test sweeps. Listing an engine
-/// here is what gets it picked up by the differential batteries — add new
-/// backends to all_path_search_engines() instead of hardcoding backend
-/// lists in individual tests.
-struct EngineInfo {
-  PathSearchBackend backend;
-  const char* name;
-  /// Engines in the bit-identical family must reproduce the reference
-  /// Dijkstra trees and RouteOutcome exactly (DESIGN.md §11); engines
-  /// outside it (steiner) are only swept for thread-count identity here —
-  /// the rest of their contract lives in their own oracle battery
-  /// (test_steiner, DESIGN.md §16).
-  bool bit_identical_to_reference;
-};
-
-inline std::vector<EngineInfo> all_path_search_engines() {
-  return {
-      {PathSearchBackend::kDijkstra, "dijkstra", true},
-      {PathSearchBackend::kCached, "cached", true},
-      {PathSearchBackend::kSteiner, "steiner", false},
-  };
-}
 
 /// PI A → g0(BUF1) → g1(NOR2, second input PI B) → ff(DFF).D;
 /// pad CK → ff.CK; ff.Q → pad PO.
@@ -111,8 +87,7 @@ struct ChainCircuit {
 /// permutations (new id i holds what old id perm[i] held). Terminals are
 /// renumbered implicitly by the rebuild order; constraints and pad sites
 /// are remapped. The result describes the *same* physical design — the
-/// shared harness of the metamorphic relabeling batteries
-/// (test_metamorphic, test_steiner).
+/// harness of the metamorphic relabeling battery (test_metamorphic).
 inline Dataset relabel(const Dataset& d,
                        const std::vector<std::int32_t>& cell_perm,
                        const std::vector<std::int32_t>& net_perm) {

@@ -2,12 +2,10 @@
 //
 // Usage:
 //   bgr_fuzz [--seeds A..B]
-//            [--mode spec|design|route|json|serve|steiner-dominance|all]
+//            [--mode spec|design|route|json|serve|all]
 //            [--corpus-out DIR] [--no-shrink] [--threads N] [--verbose]
 //
-// --mode all rotates through the five historical modes; steiner-dominance
-// (the cost-distance backend's margin oracle, DESIGN.md §16) is opt-in so
-// the seed→mode mapping of existing campaigns stays stable.
+// --mode all rotates through the five modes by seed.
 //
 // Every seed is deterministic: the same seed and mode always exercise the
 // same input. Exit code 0 means every case passed its oracles; 1 means at
@@ -29,7 +27,7 @@ namespace {
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: bgr_fuzz [--seeds A..B] [--mode spec|design|route|json|"
-               "serve|steiner-dominance|all]\n"
+               "serve|all]\n"
                "                [--corpus-out DIR] [--no-shrink] [--threads N]"
                " [--verbose] [--help]\n");
 }
@@ -86,14 +84,12 @@ int main(int argc, char** argv) {
         campaign.only_mode = bgr::FuzzMode::kJsonText;
       } else if (std::strcmp(value, "serve") == 0) {
         campaign.only_mode = bgr::FuzzMode::kServeText;
-      } else if (std::strcmp(value, "steiner-dominance") == 0) {
-        campaign.only_mode = bgr::FuzzMode::kSteinerDominance;
       } else if (std::strcmp(value, "all") == 0) {
         campaign.only_mode.reset();
       } else {
         std::fprintf(stderr,
                      "error: --mode expects spec|design|route|json|serve|"
-                     "steiner-dominance|all, got '%s'\n",
+                     "all, got '%s'\n",
                      value);
         return bgr::cli::kExitUsage;
       }

@@ -16,23 +16,14 @@
 //                         sharded concurrent edge deletion (on, the
 //                         default) or the single global scan loop (off);
 //                         the routed result is bit-identical either way
-//     --path-search {cached,dijkstra,steiner}
+//     --path-search {cached,dijkstra}
 //                         tentative-tree search backend: the reference
 //                         Dijkstra with per-graph search caches repaired
 //                         over each skipped edge's dependency cone
 //                         (cached, the default; `astar` is an alias) or
 //                         the reference binary-heap Dijkstra run per
-//                         query — bit-identical results either way — or
-//                         the cost-distance Steiner construction
-//                         (steiner), which trades wirelength against
-//                         slack-weighted source–sink paths and is allowed
-//                         to differ (deterministic, verifier-clean,
-//                         margin-dominant; DESIGN.md §16)
-//     --min-capacity-search
-//                         instead of routing once, binary-search the
-//                         minimum per-channel track capacity the design
-//                         still routes and verifies under; --metrics-out
-//                         then writes a bench.capacity report
+//                         query; the routed result is bit-identical either
+//                         way
 //     --threads N         exec/ worker threads (1 = serial, 0 = hardware);
 //                         the result is bit-identical for any N
 //     --repeat K          route K times (fresh design each run) and report
@@ -66,7 +57,6 @@
 #include "bgr/io/route_io.hpp"
 #include "bgr/io/ascii_art.hpp"
 #include "bgr/channel/geometry.hpp"
-#include "bgr/verify/capacity_search.hpp"
 #include "bgr/verify/verifier.hpp"
 #include "bgr/metrics/skew.hpp"
 #include "bgr/metrics/report.hpp"
@@ -82,8 +72,7 @@ void usage(std::FILE* out) {
                "usage: bgr_route <design.txt | @C1P1> [--unconstrained] "
                "[--rc] [--sequential] [--no-improve] "
                "[--incremental-sta on|off] [--shard-deletion on|off] "
-               "[--path-search cached|dijkstra|steiner] "
-               "[--min-capacity-search] "
+               "[--path-search cached|dijkstra] "
                "[--threads N] "
                "[--repeat K] [--save-route FILE] [--save-design FILE] "
                "[--skew] [--map] [--svg FILE] [--verify] [--stats] "
@@ -135,7 +124,6 @@ int main(int argc, char** argv) {
   }
   RouterOptions options;
   bool constrained = true;
-  bool capacity_search = false;
   bool print_skew = false;
   bool print_map = false;
   bool run_verify = false;
@@ -180,15 +168,12 @@ int main(int argc, char** argv) {
       if (value == nullptr) return cli::missing_value("--path-search");
       std::size_t choice = 0;
       if (!cli::parse_choice_option("--path-search", value,
-                                    {"cached", "dijkstra", "steiner", "astar"},
+                                    {"cached", "dijkstra", "astar"},
                                     &choice)) {
         return cli::kExitUsage;
       }
-      options.path_search = choice == 1   ? PathSearchBackend::kDijkstra
-                            : choice == 2 ? PathSearchBackend::kSteiner
-                                          : PathSearchBackend::kCached;
-    } else if (arg == "--min-capacity-search") {
-      capacity_search = true;
+      options.path_search = choice == 1 ? PathSearchBackend::kDijkstra
+                                        : PathSearchBackend::kCached;
     } else if (arg == "--no-improve") {
       options.enable_violation_recovery = false;
       options.enable_delay_improvement = false;
@@ -249,39 +234,6 @@ int main(int argc, char** argv) {
       return input.rfind('@', 0) == 0 ? make_dataset(input.substr(1))
                                       : load_design(input);
     };
-
-    if (capacity_search) {
-      MetricsRegistry::global().reset();
-      Dataset d = load();
-      std::printf("design %s: %d cells, %d nets, %zu constraints "
-                  "(threads %d)\n",
-                  d.name.c_str(), d.netlist.cell_count(),
-                  d.netlist.net_count(), d.constraints.size(),
-                  options.threads == 0 ? bgr::ExecContext::hardware_threads()
-                                       : options.threads);
-      options.use_constraints = constrained;
-      Stopwatch watch;
-      const CapacitySearchResult result = min_capacity_search(
-          d.netlist, d.placement, d.tech, d.constraints, options);
-      const double seconds = watch.seconds();
-      for (const CapacityProbe& probe : result.probes) {
-        std::printf("probe W=%-4d max tracks %4d  reroute passes %d  "
-                    "verify errors %d  -> %s\n",
-                    probe.tracks, probe.max_tracks, probe.reroute_passes,
-                    probe.verify_errors,
-                    probe.feasible ? "feasible" : "infeasible");
-      }
-      std::printf("minimum capacity: %d tracks (unconstrained %d, "
-                  "%zu probes, %.2f s)\n",
-                  result.min_tracks, result.unconstrained_tracks,
-                  result.probes.size(), seconds);
-      if (!metrics_out_path.empty()) {
-        make_capacity_report(d.name, constrained, result, seconds)
-            .save(metrics_out_path);
-        std::printf("run report written to %s\n", metrics_out_path.c_str());
-      }
-      return cli::kExitOk;
-    }
 
     // The router inserts feed cells into the netlist it routes, so every
     // repeat starts from a freshly loaded design.

@@ -38,7 +38,7 @@ SCHEMA_VERSION = 1
 ROUTE_SECTIONS = ("design", "options", "result", "stats", "phases", "run")
 # Semantic counters every routed report must carry, whatever the backend.
 # The cache counters register (at zero) even under the Dijkstra backend.
-PATH_SEARCH_BACKENDS = ("cached", "dijkstra", "steiner")
+PATH_SEARCH_BACKENDS = ("cached", "dijkstra")
 
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
@@ -66,13 +66,7 @@ ROUTE_SEMANTIC_METRICS = (
     "shard.commits",
     "shard.fallbacks",
     "shard.nets",
-    # Cost-distance steiner construction (DESIGN.md §16); registered at
-    # zero by every router, live only under --path-search steiner.
-    "steiner.trees",
-    "steiner.sink_paths",
-    "steiner.pops",
-    "steiner.relaxations",
-    "steiner.cache_hits",
+
 )
 # The scale bench (bench_scale) routes a block-structured preset at 1, 2
 # and 4 threads and records the deletion loop's shard decomposition, the
@@ -83,17 +77,6 @@ SCALE_RESULT_FIELDS = ("nets_per_second_floor", "speedup_floor_4",
                        "sharded", "identical", "pass")
 SCALE_RUN_FIELDS = ("seconds", "nets_per_second", "hardware_threads",
                     "speedup_4", "speedup_gated", "threads")
-# The capacity bench (bench_capacity / bgr_route --min-capacity-search)
-# records the binary search's full probe transcript.
-CAPACITY_SECTIONS = ("design", "options", "capacity", "run")
-CAPACITY_PROBE_FIELDS = ("tracks", "feasible", "max_tracks",
-                         "reroute_passes", "verify_errors")
-# The steiner bench (bench_steiner) routes each preset once per backend
-# and records the delay/area front plus the dominance/identity gates.
-STEINER_SECTIONS = ("designs", "result", "run")
-STEINER_MODE_FIELDS = ("backend", "critical_delay_ps", "total_length_um",
-                       "worst_margin_ps", "violated_constraints")
-STEINER_RESULT_FIELDS = ("identical_ok", "dominance_ok", "counters_ok")
 # Daemon reports ("bgr_serve" and the in-process "bench.serve") carry the
 # serve/totals sections plus the admission/cache/cancellation counters —
 # all semantic: for a given request stream they are functions of the
@@ -205,53 +188,6 @@ def check_report(report, path):
         # Every committed deletion of the sharded initial phase is counted.
         if shards["count"] > 1 and shards["commits"] <= 0:
             fail(f"{path}: a sharded run committed no deletion")
-    if kind == "bench.capacity":
-        for section in CAPACITY_SECTIONS:
-            if section not in report:
-                fail(f"{path}: missing '{section}' section")
-        capacity = report["capacity"]
-        for field in ("min_tracks", "unconstrained_tracks", "probes"):
-            if field not in capacity:
-                fail(f"{path}: capacity.{field} missing")
-        probes = capacity["probes"]
-        if not isinstance(probes, list) or not probes:
-            fail(f"{path}: capacity.probes must be a non-empty array")
-        for probe in probes:
-            for field in CAPACITY_PROBE_FIELDS:
-                if field not in probe:
-                    fail(f"{path}: probe lacks '{field}': {probe}")
-        # The unconstrained probe leads the transcript and bounds the
-        # search: the answer must land inside [1, unconstrained].
-        if probes[0]["tracks"] != capacity["unconstrained_tracks"]:
-            fail(f"{path}: first probe is not the unconstrained bound")
-        if not 1 <= capacity["min_tracks"] <= capacity["unconstrained_tracks"]:
-            fail(f"{path}: min_tracks outside [1, unconstrained_tracks]")
-    if kind == "bench.steiner":
-        for section in STEINER_SECTIONS:
-            if section not in report:
-                fail(f"{path}: missing '{section}' section")
-        designs = report["designs"]
-        if not isinstance(designs, list) or not designs:
-            fail(f"{path}: 'designs' must be a non-empty array")
-        for row in designs:
-            if "name" not in row:
-                fail(f"{path}: design row lacks 'name': {row}")
-            modes = row.get("modes")
-            if not isinstance(modes, list) or not modes:
-                fail(f"{path}: designs[{row.get('name')!r}].modes must be "
-                     f"a non-empty array")
-            for entry in modes:
-                for field in STEINER_MODE_FIELDS:
-                    if field not in entry:
-                        fail(f"{path}: mode entry lacks '{field}': {entry}")
-        result = report["result"]
-        for field in STEINER_RESULT_FIELDS:
-            if field not in result:
-                fail(f"{path}: result.{field} missing")
-        for name in ("steiner.trees", "steiner.sink_paths",
-                     "steiner.cache_hits"):
-            if name not in report["metrics"]["semantic"]:
-                fail(f"{path}: metrics.semantic lacks '{name}'")
     if kind in SERVE_KINDS:
         for section in SERVE_SECTIONS:
             if section not in report:
