@@ -104,28 +104,50 @@ std::vector<std::int32_t> SmallGraph::component_of(std::int32_t start) const {
   return out;
 }
 
-std::vector<bool> SmallGraph::bridges() const {
-  const auto n = static_cast<std::size_t>(vertex_count());
-  std::vector<bool> is_bridge(edges_.size(), false);
-  std::vector<std::int32_t> disc(n, -1);
-  std::vector<std::int32_t> low(n, 0);
-  std::int32_t timer = 0;
+namespace {
 
-  // Iterative DFS; entry_edge distinguishes parallel edges (re-traversing a
-  // different parallel edge to the parent is a back edge, so neither is a
-  // bridge).
+/// Thread-local scratch of the bridge search, reused across calls and
+/// graphs: the DFS arrays grow to the largest graph their thread has met.
+struct BridgeScratch {
+  // Iterative DFS frame; entry_edge distinguishes parallel edges
+  // (re-traversing a different parallel edge to the parent is a back
+  // edge, so neither is a bridge).
   struct Frame {
     std::int32_t v;
     std::int32_t entry_edge;
     std::size_t next_index;
   };
+  std::vector<std::int32_t> disc;
+  std::vector<std::int32_t> low;
   std::vector<Frame> stack;
+  std::vector<bool> fresh;  // update_bridges' new flags
+};
+
+BridgeScratch& bridge_scratch() {
+  thread_local BridgeScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void SmallGraph::bridges(std::vector<bool>& out) const {
+  const auto n = static_cast<std::size_t>(vertex_count());
+  out.assign(edges_.size(), false);
+  BridgeScratch& scratch = bridge_scratch();
+  std::vector<std::int32_t>& disc = scratch.disc;
+  std::vector<std::int32_t>& low = scratch.low;
+  auto& stack = scratch.stack;
+  disc.assign(n, -1);
+  low.assign(n, 0);
+  stack.clear();
+  std::int32_t timer = 0;
+
   for (std::int32_t root = 0; root < vertex_count(); ++root) {
     if (!vertex_alive(root) || disc[static_cast<std::size_t>(root)] != -1) continue;
     disc[static_cast<std::size_t>(root)] = low[static_cast<std::size_t>(root)] = timer++;
-    stack.push_back(Frame{root, kNone, 0});
+    stack.push_back(BridgeScratch::Frame{root, kNone, 0});
     while (!stack.empty()) {
-      Frame& f = stack.back();
+      BridgeScratch::Frame& f = stack.back();
       const auto& adj = adjacency_[static_cast<std::size_t>(f.v)];
       if (f.next_index < adj.size()) {
         const auto e = adj[f.next_index++];
@@ -134,7 +156,7 @@ std::vector<bool> SmallGraph::bridges() const {
         if (disc[static_cast<std::size_t>(w)] == -1) {
           disc[static_cast<std::size_t>(w)] = low[static_cast<std::size_t>(w)] =
               timer++;
-          stack.push_back(Frame{w, e, 0});
+          stack.push_back(BridgeScratch::Frame{w, e, 0});
         } else {
           low[static_cast<std::size_t>(f.v)] =
               std::min(low[static_cast<std::size_t>(f.v)],
@@ -145,19 +167,34 @@ std::vector<bool> SmallGraph::bridges() const {
         const auto entry = f.entry_edge;
         stack.pop_back();
         if (!stack.empty()) {
-          Frame& parent = stack.back();
+          BridgeScratch::Frame& parent = stack.back();
           low[static_cast<std::size_t>(parent.v)] =
               std::min(low[static_cast<std::size_t>(parent.v)],
                        low[static_cast<std::size_t>(child)]);
           if (low[static_cast<std::size_t>(child)] >
               disc[static_cast<std::size_t>(parent.v)]) {
-            is_bridge[static_cast<std::size_t>(entry)] = true;
+            out[static_cast<std::size_t>(entry)] = true;
           }
         }
       }
     }
   }
-  return is_bridge;
+}
+
+void SmallGraph::update_bridges(std::vector<bool>& flags,
+                                std::vector<std::int32_t>& new_bridges) const {
+  std::vector<bool>& fresh = bridge_scratch().fresh;
+  bridges(fresh);
+  BGR_CHECK(flags.size() == fresh.size());
+  // Dead edges read false in `fresh`, so only alive edges can qualify.
+  for (std::size_t e = 0; e < fresh.size(); ++e) {
+    if (fresh[e] && !flags[e]) {
+      new_bridges.push_back(static_cast<std::int32_t>(e));
+    }
+  }
+  // A copy, not a swap: both keep their storage (same size), so neither
+  // side ever reallocates.
+  flags = fresh;
 }
 
 SmallGraph::ShortestPaths SmallGraph::dijkstra(std::int32_t source,

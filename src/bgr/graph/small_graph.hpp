@@ -84,10 +84,19 @@ class SmallGraph {
   /// component of the alive subgraph.
   [[nodiscard]] bool connects(const std::vector<std::int32_t>& required) const;
 
-  /// Bridge (cut-edge) flags for all alive edges of the alive subgraph,
-  /// indexed by edge id. Parallel edges are correctly non-bridges. Dead
-  /// edges report false.
-  [[nodiscard]] std::vector<bool> bridges() const;
+  /// Fills `out` with the bridge (cut-edge) flags of all alive edges of
+  /// the alive subgraph, indexed by edge id. Parallel edges are correctly
+  /// non-bridges. Dead edges report false. The DFS scratch is
+  /// thread-local and reused: a call allocates only when its thread has
+  /// not yet met a graph this large.
+  void bridges(std::vector<bool>& out) const;
+  /// Refreshes `flags`, the bridge flags of this graph before some edge
+  /// removals, to its current ones, and appends to `new_bridges` (in id
+  /// order) every alive edge that is a bridge now and was not before.
+  /// Allocation-free like bridges(): the fresh flags are computed into
+  /// thread-local scratch and copied over `flags`.
+  void update_bridges(std::vector<bool>& flags,
+                      std::vector<std::int32_t>& new_bridges) const;
 
   struct ShortestPaths {
     std::vector<double> dist;          // +inf if unreachable / dead vertex

@@ -76,24 +76,29 @@ void DensityMap::remove_bridge(std::int32_t channel, IntInterval span,
   apply(/*bridge=*/true, channel, span, -w);
 }
 
-EdgeDensityParams DensityMap::edge_params(std::int32_t channel,
-                                          IntInterval span) const {
+ChartSpanParams DensityMap::span_params(const std::vector<std::int32_t>& chart,
+                                        std::int32_t channel,
+                                        IntInterval span) const {
   BGR_CHECK(channel >= 0 && channel < channel_count_);
   BGR_CHECK(!span.empty() && span.lo >= 0 && span.hi < width_);
-  const std::int32_t* total = total_.data() + flat(channel, 0);
-  const std::int32_t* bridge = bridge_.data() + flat(channel, 0);
-  // Two branch-free passes: the maxima (from 0, like the channel
-  // aggregates), then the number of columns at them.
-  EdgeDensityParams p;
+  const std::int32_t* row = chart.data() + flat(channel, 0);
+  // Two branch-free passes: the maximum, then the columns at it.
+  ChartSpanParams p;
   for (std::int32_t x = span.lo; x <= span.hi; ++x) {
-    p.d_max = std::max(p.d_max, total[x]);
-    p.d_min = std::max(p.d_min, bridge[x]);
+    p.max = std::max(p.max, row[x]);
   }
   for (std::int32_t x = span.lo; x <= span.hi; ++x) {
-    p.nd_max += total[x] == p.d_max ? 1 : 0;
-    p.nd_min += bridge[x] == p.d_min ? 1 : 0;
+    p.at_max += row[x] == p.max ? 1 : 0;
   }
   return p;
+}
+
+EdgeDensityParams DensityMap::edge_params(std::int32_t channel,
+                                          IntInterval span) const {
+  const ChartSpanParams total = total_span_params(channel, span);
+  const ChartSpanParams bridge = bridge_span_params(channel, span);
+  return EdgeDensityParams{total.max, total.at_max, bridge.max,
+                           bridge.at_max};
 }
 
 std::int64_t DensityMap::sum_max_density() const {

@@ -32,6 +32,14 @@ struct EdgeDensityParams {
   std::int32_t nd_min = 0;   // ND_m(e)
 };
 
+/// One chart's half of EdgeDensityParams: the chart maximum within an
+/// edge's interval and the number of interval columns attaining it —
+/// (D_M, ND_M) read from d_M, (D_m, ND_m) from d_m.
+struct ChartSpanParams {
+  std::int32_t max = 0;
+  std::int32_t at_max = 0;
+};
+
 /// Density charts d_M(c, x) (all trunk edges) and d_m(c, x) (bridge trunk
 /// edges — the unrecoverable lower bound) for every channel, plus the
 /// channel aggregates, maintained on every update: each channel keeps a
@@ -69,6 +77,17 @@ class DensityMap {
   }
   [[nodiscard]] EdgeDensityParams edge_params(std::int32_t channel,
                                               IntInterval span) const;
+  /// Per-chart reads: edge_params' total-chart (D_M, ND_M) and
+  /// bridge-chart (D_m, ND_m) fields alone, for a caller that knows only
+  /// one chart moved over the span.
+  [[nodiscard]] ChartSpanParams total_span_params(std::int32_t channel,
+                                                  IntInterval span) const {
+    return span_params(total_, channel, span);
+  }
+  [[nodiscard]] ChartSpanParams bridge_span_params(std::int32_t channel,
+                                                   IntInterval span) const {
+    return span_params(bridge_, channel, span);
+  }
 
   [[nodiscard]] std::int32_t total_at(std::int32_t channel, std::int32_t x) const {
     return total_[flat(channel, x)];
@@ -94,6 +113,12 @@ class DensityMap {
     std::vector<std::int32_t> total_count;   // total_count[v]: columns at v
     std::vector<std::int32_t> bridge_count;  // bridge_count[v]: columns at v
   };
+
+  /// The maximum of one chart's row over `span` (from 0, like the channel
+  /// aggregates) and the number of span columns at it.
+  [[nodiscard]] ChartSpanParams span_params(
+      const std::vector<std::int32_t>& chart, std::int32_t channel,
+      IntInterval span) const;
 
   /// Adds `delta` to the columns in `span` of the channel's total chart
   /// (or bridge chart) and moves that chart's histogram and (max,

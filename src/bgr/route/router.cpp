@@ -1,6 +1,7 @@
 #include "bgr/route/router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string_view>
@@ -47,6 +48,10 @@ struct RouteMetrics {
       "route.key_delay_evals", MetricScope::kSemantic);
   Counter& key_span_reads = MetricsRegistry::global().counter(
       "route.key_span_reads", MetricScope::kSemantic);
+  /// Branch tops that found the branch candidates' density halves stale
+  /// and re-keyed them all (the lazy branch tier, DESIGN.md §5).
+  Counter& branch_flushes = MetricsRegistry::global().counter(
+      "route.branch_flushes", MetricScope::kSemantic);
   /// Keys holding a NaN tier (SelectionIndex compares those unpacked).
   /// Expected to stay 0; nondeterministic scope only so that existing
   /// reports keep their semantic layout.
@@ -313,16 +318,17 @@ void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge,
     const RouteEdgeInfo& info = g.edge_info(removed.edge);
     if (!info.is_trunk()) continue;
     density_->remove_total(info.channel, info.span, w);
+    changes.push_back(DensityChange{info.channel, info.span, false});
     if (removed.was_bridge) {
       density_->remove_bridge(info.channel, info.span, w);
+      changes.push_back(DensityChange{info.channel, info.span, true});
     }
-    changes.push_back(DensityChange{info.channel, info.span});
   }
   for (const auto nb : result.new_bridges) {
     const RouteEdgeInfo& info = g.edge_info(nb);
     if (!info.is_trunk()) continue;
     density_->add_bridge(info.channel, info.span, w);
-    changes.push_back(DensityChange{info.channel, info.span});
+    changes.push_back(DensityChange{info.channel, info.span, true});
   }
 }
 
@@ -353,6 +359,7 @@ void GlobalRouter::SelectionTally::add(const SelectionTally& other) {
   delay_evals += other.delay_evals;
   span_reads += other.span_reads;
   nan_keys += other.nan_keys;
+  branch_flushes += other.branch_flushes;
 }
 
 void GlobalRouter::fold_tally(const SelectionTally& tally) {
@@ -361,6 +368,7 @@ void GlobalRouter::fold_tally(const SelectionTally& tally) {
   route_metrics().key_delay_evals.add(tally.delay_evals);
   route_metrics().key_span_reads.add(tally.span_reads);
   route_metrics().nan_keys.add(tally.nan_keys);
+  route_metrics().branch_flushes.add(tally.branch_flushes);
 }
 
 namespace {
@@ -377,15 +385,19 @@ struct ChannelRef {
 };
 static_assert(sizeof(ChannelRef) <= 32, "one ref per half cache line");
 
-/// The refs [begin, end) of one channel, sorted by span start. `max_len`
-/// bounds the overlap search; `seen` holds the channel aggregates every
-/// cached density half of the channel was computed from, so a commit can
-/// tell whether they moved.
+/// The refs of one channel, split by position: the trunk candidates' refs
+/// in [begin, mid), the branch candidates' in [mid, end) (feedthroughs of
+/// the channel below included), each range sorted by span start.
+/// `trunk_len` and `branch_len` bound each range's overlap search; `seen`
+/// holds the channel aggregates every cached density half of the channel
+/// was computed from, so a commit can tell whether they moved.
 struct ChannelRefs {
   std::int32_t channel;
   std::size_t begin;
+  std::size_t mid;
   std::size_t end;
-  std::int32_t max_len;
+  std::int32_t trunk_len;
+  std::int32_t branch_len;
   ChannelDensityParams seen;
 };
 
@@ -408,10 +420,13 @@ struct NetSlots {
 };
 
 /// Dirty bits of a candidate: its delay half; its density half; and,
-/// with the density half, the cached span aggregates of its refs.
+/// with the density half, the cached span aggregates of its refs, per
+/// chart: D_M/ND_M of the total chart, D_m/ND_m of the bridge chart.
 constexpr char kDelayDirty = 1;
 constexpr char kDensityDirty = 2;
-constexpr char kSpanDirty = 4;
+constexpr char kTotalSpanDirty = 4;
+constexpr char kBridgeSpanDirty = 8;
+constexpr char kSpanDirty = kTotalSpanDirty | kBridgeSpanDirty;
 
 /// One channel's density tiers: channel aggregates minus span aggregates.
 void fill_density_tiers(const ChannelDensityParams& cp,
@@ -422,6 +437,14 @@ void fill_density_tiers(const ChannelDensityParams& cp,
   key.n_max = cp.nc_max - ep.nd_max;
 }
 
+/// Slot order key of a candidate edge: (channel, trunk before branch, span
+/// start), so each channel's own refs arrive split and sorted.
+std::uint64_t slot_rank(std::int32_t channel, bool branch, std::int32_t lo) {
+  return static_cast<std::uint64_t>(channel) << 33 |
+         static_cast<std::uint64_t>(branch ? 1 : 0) << 32 |
+         (static_cast<std::uint32_t>(lo) ^ 0x80000000U);
+}
+
 }  // namespace
 
 struct GlobalRouter::SelectionScratch {
@@ -429,8 +452,10 @@ struct GlobalRouter::SelectionScratch {
   std::vector<std::int32_t> slot_of;  // candidate → slot
   std::vector<NetSlots> nets;
   std::vector<ChannelRef> refs;
+  std::vector<ChannelRef> above;  // feedthroughs' refs to the channel above
   std::vector<ChannelRefs> channels;
   std::vector<SlotRefs> slot_refs;
+  std::vector<char> branch;  // slot → not a trunk edge
   std::vector<char> delay_active;
   std::vector<char> dirty_bits;
   std::vector<std::int32_t> dirty;
@@ -452,9 +477,10 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
   SelectionIndex& index = scratch.index;
   index.clear(order_);
 
-  // Slots in (channel, span start) order of each candidate's own channel:
-  // the candidates a channel-aggregate move re-keys then sit on adjacent
-  // leaves and share their tree paths. The root does not depend on slot
+  // Slots in (channel, trunk before branch, span start) order of each
+  // candidate's own channel: the candidates a channel-aggregate move
+  // re-keys then sit on adjacent leaves and share their tree paths, and
+  // the ref list below needs no sort. The root does not depend on slot
   // order (it is the unique minimum).
   auto& slot_of = scratch.slot_of;
   slot_of.resize(candidates.size());
@@ -468,8 +494,7 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
       if (options_.use_density_criteria) {
         const Candidate& c = candidates[i];
         const RouteEdgeInfo& info = graphs_[c.net]->edge_info(c.edge);
-        at = static_cast<std::uint64_t>(info.channel) << 32 |
-             (static_cast<std::uint32_t>(info.span.lo) ^ 0x80000000U);
+        at = slot_rank(info.channel, !info.is_trunk(), info.span.lo);
       }
       order.emplace_back(at, static_cast<std::int32_t>(i));
     }
@@ -479,6 +504,17 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
       slot_of[static_cast<std::size_t>(i)] =
           index.add(c.net, c.edge, netlist_.net(c.net).name);
     }
+  }
+  const auto slot_count = static_cast<std::size_t>(index.slot_count());
+  auto& branch = scratch.branch;
+  auto& delay_active = scratch.delay_active;
+  branch.resize(slot_count);
+  delay_active.resize(slot_count);
+  for (std::size_t s = 0; s < slot_count; ++s) {
+    const NetId net = index.net(static_cast<std::int32_t>(s));
+    const std::int32_t edge = index.edge(static_cast<std::int32_t>(s));
+    branch[s] = graphs_[net]->edge_info(edge).is_trunk() ? 0 : 1;
+    delay_active[s] = delay_half_active(net) ? 1 : 0;
   }
 
   // net → candidates. Callers list candidates grouped by ascending net.
@@ -507,44 +543,56 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
   refs.clear();
   channels.clear();
   if (options_.use_density_criteria) {
+    // Own refs in slot order are sorted by (channel, branch, start). The
+    // refs feedthroughs read from the channel above (branches, sorted by
+    // channel and start) merge into those channels' branch ranges, from
+    // the back and in place.
+    auto& above = scratch.above;
+    above.clear();
     for (std::int32_t s = 0; s < index.slot_count(); ++s) {
       const RouteEdgeInfo& info = graphs_[index.net(s)]->edge_info(index.edge(s));
       refs.push_back(
           ChannelRef{info.channel, info.span.lo, info.span.hi, s, {}});
       if (info.kind == RouteEdgeKind::kFeed) {
-        refs.push_back(
+        above.push_back(
             ChannelRef{info.channel + 1, info.span.lo, info.span.hi, s, {}});
       }
     }
-    std::sort(refs.begin(), refs.end(),
-              [](const ChannelRef& a, const ChannelRef& b) {
-                return a.channel != b.channel ? a.channel < b.channel
-                                              : a.lo < b.lo;
-              });
-    slot_refs.assign(static_cast<std::size_t>(index.slot_count()), SlotRefs{});
+    auto rank = [&](const ChannelRef& r) {
+      return slot_rank(r.channel, branch[static_cast<std::size_t>(r.slot)] != 0,
+                       r.lo);
+    };
+    std::size_t own = refs.size();
+    std::size_t up = above.size();
+    refs.resize(own + up);
+    for (std::size_t w = refs.size(); up > 0;) {
+      const bool take_own = own > 0 && rank(refs[own - 1]) > rank(above[up - 1]);
+      refs[--w] = take_own ? refs[--own] : above[--up];
+    }
+    slot_refs.assign(slot_count, SlotRefs{});
     for (std::size_t i = 0; i < refs.size(); ++i) {
+      // A feedthrough's own channel sorts before the channel above.
       SlotRefs& sr = slot_refs[static_cast<std::size_t>(refs[i].slot)];
       (sr.own < 0 ? sr.own : sr.above) = static_cast<std::int32_t>(i);
     }
     for (std::size_t i = 0; i < refs.size();) {
-      ChannelRefs cr{refs[i].channel, i, i, 0,
+      ChannelRefs cr{refs[i].channel, i, i, i, 0, 0,
                      density_->channel_params(refs[i].channel)};
       for (; cr.end < refs.size() && refs[cr.end].channel == cr.channel;
            ++cr.end) {
-        cr.max_len = std::max(cr.max_len, refs[cr.end].hi - refs[cr.end].lo);
+        const ChannelRef& r = refs[cr.end];
+        if (branch[static_cast<std::size_t>(r.slot)] == 0) {
+          cr.mid = cr.end + 1;
+          cr.trunk_len = std::max(cr.trunk_len, r.hi - r.lo);
+        } else {
+          cr.branch_len = std::max(cr.branch_len, r.hi - r.lo);
+        }
       }
       channels.push_back(cr);
       i = cr.end;
     }
   }
 
-  const auto slot_count = static_cast<std::size_t>(index.slot_count());
-  auto& delay_active = scratch.delay_active;
-  delay_active.resize(slot_count);
-  for (std::size_t s = 0; s < slot_count; ++s) {
-    delay_active[s] =
-        delay_half_active(index.net(static_cast<std::int32_t>(s))) ? 1 : 0;
-  }
   // Dirty set of the current round: slot → dirty bits.
   auto& dirty_bits = scratch.dirty_bits;
   auto& dirty = scratch.dirty;
@@ -555,34 +603,55 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     if (bits == 0) dirty.push_back(s);
     bits = static_cast<char>(bits | bit);
   };
-  // First round: every deletable candidate gets its full key.
+  // Lazy branch tier (DESIGN.md §5): while the top is a trunk, the density
+  // halves of branch candidates are left stale and this flag is set; the
+  // first branch top re-keys them all from fresh spans.
+  bool branch_stale = false;
+  // First round: every deletable candidate gets its full key, except that
+  // branches wait for their density halves. Slots are pushed directly, so
+  // one with no half to compute (bits 0) still gets its first key.
   for (std::int32_t s = 0; s < index.slot_count(); ++s) {
     const RoutingGraph& g = *graphs_[index.net(s)];
     if (!g.graph().edge_alive(index.edge(s)) || g.is_bridge(index.edge(s))) {
       continue;
     }
+    const bool density = options_.use_density_criteria;
+    const bool lazy = density && branch[static_cast<std::size_t>(s)] != 0;
+    branch_stale = branch_stale || lazy;
     dirty.push_back(s);
     dirty_bits[static_cast<std::size_t>(s)] = static_cast<char>(
-        (options_.use_density_criteria ? kDensityDirty | kSpanDirty : 0) |
+        (density && !lazy ? kDensityDirty | kSpanDirty : 0) |
         (delay_active[static_cast<std::size_t>(s)] != 0 ? kDelayDirty : 0));
   }
 
   // The density half of a candidate: its channel aggregates (always
-  // current) minus its cached span aggregates, re-read under kSpanDirty.
-  // A feedthrough edge touches both adjacent channels at one column and is
-  // scored against the more critical of the two.
-  auto fill_density_half = [&](std::int32_t s, bool span, SelectionKey& key) {
+  // current) minus its cached span aggregates, re-read for the charts
+  // flagged in `span` (kTotalSpanDirty, kBridgeSpanDirty). A feedthrough
+  // edge touches both adjacent channels at one column and is scored
+  // against the more critical of the two.
+  auto reread = [&](ChannelRef& r, char span) {
+    const IntInterval columns{r.lo, r.hi};
+    if ((span & kTotalSpanDirty) != 0) {
+      const ChartSpanParams p = density_->total_span_params(r.channel, columns);
+      r.span.d_max = p.max;
+      r.span.nd_max = p.at_max;
+    }
+    if ((span & kBridgeSpanDirty) != 0) {
+      const ChartSpanParams p =
+          density_->bridge_span_params(r.channel, columns);
+      r.span.d_min = p.max;
+      r.span.nd_min = p.at_max;
+    }
+  };
+  auto fill_density_half = [&](std::int32_t s, char span, SelectionKey& key) {
     const SlotRefs& sr = slot_refs[static_cast<std::size_t>(s)];
     ChannelRef& own = refs[static_cast<std::size_t>(sr.own)];
     ChannelRef* above =
         sr.above < 0 ? nullptr : &refs[static_cast<std::size_t>(sr.above)];
-    if (span) {
+    if (span != 0) {
       ++tally.span_reads;
-      own.span = density_->edge_params(own.channel, {own.lo, own.hi});
-      if (above != nullptr) {
-        above->span =
-            density_->edge_params(above->channel, {above->lo, above->hi});
-      }
+      reread(own, span);
+      if (above != nullptr) reread(*above, span);
     }
     fill_density_tiers(density_->channel_params(own.channel), own.span, key);
     if (above == nullptr) return;
@@ -601,7 +670,7 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     for (const std::int32_t s : dirty) {
       char& bits = dirty_bits[static_cast<std::size_t>(s)];
       const bool density = (bits & kDensityDirty) != 0;
-      const bool span = (bits & kSpanDirty) != 0;
+      const auto span = static_cast<char>(bits & kSpanDirty);
       const bool delay = (bits & kDelayDirty) != 0;
       bits = 0;
       if (density && !delay && index.live(s)) {
@@ -636,15 +705,86 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     }
     dirty.clear();
   };
+  // Re-keys every live branch candidate from fresh spans: the stale
+  // density halves become current.
+  auto refresh_branches = [&]() {
+    for (std::int32_t s = 0; s < index.slot_count(); ++s) {
+      if (branch[static_cast<std::size_t>(s)] != 0 && index.live(s)) {
+        mark(s, kDensityDirty | kSpanDirty);
+      }
+    }
+    branch_stale = false;
+    flush();
+  };
+
+  // Marks the live refs of refs[first, last), ascending by span start,
+  // whose density halves a commit moved. `windows` holds the commit's
+  // merged intervals of the total chart and of the bridge chart (ranges
+  // of `changes`) with their span bits. When the channel aggregates
+  // moved (`all`), every ref re-keys, re-reading the charts it overlaps;
+  // otherwise only the overlapping refs re-key, found per chart.
+  struct Window {
+    std::size_t begin;
+    std::size_t end;
+    char bit;
+  };
+  auto& changes = scratch.changes;
+  auto mark_refs = [&](std::size_t first, std::size_t last,
+                       std::int32_t max_len, bool all,
+                       const std::array<Window, 2>& windows) {
+    if (all) {
+      // One pass: refs ascend by start, so the first interval of a chart
+      // ending at or after a ref's start only moves forward.
+      std::array<std::size_t, 2> k = {windows[0].begin, windows[1].begin};
+      for (std::size_t i = first; i < last; ++i) {
+        const ChannelRef& r = refs[i];
+        if (!index.live(r.slot)) continue;
+        char bits = kDensityDirty;
+        for (std::size_t w = 0; w < windows.size(); ++w) {
+          while (k[w] < windows[w].end && changes[k[w]].span.hi < r.lo) ++k[w];
+          if (k[w] < windows[w].end && changes[k[w]].span.lo <= r.hi) {
+            bits = static_cast<char>(bits | windows[w].bit);
+          }
+        }
+        mark(r.slot, bits);
+      }
+      return;
+    }
+    const auto begin = refs.begin() + static_cast<std::ptrdiff_t>(first);
+    const auto end = refs.begin() + static_cast<std::ptrdiff_t>(last);
+    for (const Window& window : windows) {
+      for (std::size_t k = window.begin; k < window.end; ++k) {
+        const IntInterval span = changes[k].span;
+        auto r = std::lower_bound(
+            begin, end, span.lo - max_len,
+            [](const ChannelRef& a, std::int32_t b) { return a.lo < b; });
+        for (; r != end && r->lo <= span.hi; ++r) {
+          if (r->hi >= span.lo && index.live(r->slot)) {
+            mark(r->slot, static_cast<char>(kDensityDirty | window.bit));
+          }
+        }
+      }
+    }
+  };
 
   auto& versions = scratch.versions;
-  auto& changes = scratch.changes;
   for (std::int64_t round = 0;; ++round) {
     if (round % kCancelPollCommits == 0) {
       poll_cancel(options_, "the next edge deletion");
     }
     flush();
-    const std::int32_t best = index.top();
+    // A NaN tier makes the order non-transitive, so a stale key could
+    // change the winner: from the first NaN key on, every key is fresh.
+    if (branch_stale && index.nan_keys() > 0) refresh_branches();
+    std::int32_t best = index.top();
+    if (best >= 0 && branch_stale && branch[static_cast<std::size_t>(best)] != 0) {
+      // The stale keys differ from the fresh ones only below the branch
+      // tier, so they could not have beaten a trunk top; a branch top
+      // needs them fresh.
+      ++tally.branch_flushes;
+      refresh_branches();
+      best = index.top();
+    }
     if (best < 0) {
       tally.nan_keys = index.nan_keys();
       break;
@@ -703,59 +843,52 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
       }
     }
     // Density: the candidates whose span overlaps a changed interval
-    // re-read their span aggregates; when the channel aggregates moved,
-    // every other candidate of the channel re-keys from its cached ones.
+    // re-read that chart's span aggregates; when the channel aggregates
+    // moved, every other candidate of the channel re-keys from its cached
+    // ones. After a trunk commit the branch ranges wait (lazy tier).
+    const bool lazy = branch[static_cast<std::size_t>(best)] == 0 &&
+                      index.nan_keys() == 0;
     std::sort(changes.begin(), changes.end(),
               [](const DensityChange& a, const DensityChange& b) {
-                return a.channel != b.channel ? a.channel < b.channel
-                                              : a.span.lo < b.span.lo;
+                if (a.channel != b.channel) return a.channel < b.channel;
+                if (a.bridge != b.bridge) return b.bridge;
+                return a.span.lo < b.span.lo;
               });
     for (std::size_t i = 0; i < changes.size();) {
       const std::int32_t c = changes[i].channel;
-      // Merge the channel's changes in place into disjoint intervals
-      // [i, j), ascending by start and therefore by end.
-      std::size_t j = i + 1;
-      std::size_t next = i + 1;
-      for (; next < changes.size() && changes[next].channel == c; ++next) {
-        IntInterval& last = changes[j - 1].span;
-        const IntInterval span = changes[next].span;
-        if (span.lo <= last.hi) {
-          last.hi = std::max(last.hi, span.hi);
-        } else {
-          changes[j++].span = span;
+      // Merge each chart's changes of the channel in place into disjoint
+      // intervals, ascending by start and therefore by end.
+      std::array<Window, 2> windows = {Window{i, i, kTotalSpanDirty},
+                                       Window{i, i, kBridgeSpanDirty}};
+      std::size_t next = i;
+      for (Window& window : windows) {
+        const bool bridge = window.bit == kBridgeSpanDirty;
+        window.begin = window.end = next;
+        for (; next < changes.size() && changes[next].channel == c &&
+               changes[next].bridge == bridge;
+             ++next) {
+          const IntInterval span = changes[next].span;
+          if (window.end > window.begin &&
+              span.lo <= changes[window.end - 1].span.hi) {
+            IntInterval& last = changes[window.end - 1].span;
+            last.hi = std::max(last.hi, span.hi);
+          } else {
+            changes[window.end++].span = span;
+          }
         }
       }
       const auto it = std::lower_bound(
           channels.begin(), channels.end(), c,
           [](const ChannelRefs& a, std::int32_t b) { return a.channel < b; });
       if (it != channels.end() && it->channel == c) {
-        const auto first = refs.begin() + static_cast<std::ptrdiff_t>(it->begin);
-        const auto last = refs.begin() + static_cast<std::ptrdiff_t>(it->end);
         const ChannelDensityParams& now = density_->channel_params(c);
-        if (now != it->seen) {
-          it->seen = now;
-          // One pass: refs ascend by start, so the first interval ending
-          // at or after a ref's start only moves forward.
-          std::size_t k = i;
-          for (auto r = first; r != last; ++r) {
-            if (!index.live(r->slot)) continue;
-            while (k < j && changes[k].span.hi < r->lo) ++k;
-            const bool overlaps = k < j && changes[k].span.lo <= r->hi;
-            mark(r->slot,
-                 overlaps ? kDensityDirty | kSpanDirty : kDensityDirty);
-          }
-        } else {
-          for (std::size_t k = i; k < j; ++k) {
-            const IntInterval span = changes[k].span;
-            auto r = std::lower_bound(
-                first, last, span.lo - it->max_len,
-                [](const ChannelRef& a, std::int32_t b) { return a.lo < b; });
-            for (; r != last && r->lo <= span.hi; ++r) {
-              if (r->hi >= span.lo && index.live(r->slot)) {
-                mark(r->slot, kDensityDirty | kSpanDirty);
-              }
-            }
-          }
+        const bool moved = now != it->seen;
+        it->seen = now;
+        mark_refs(it->begin, it->mid, it->trunk_len, moved, windows);
+        if (!lazy) {
+          mark_refs(it->mid, it->end, it->branch_len, moved, windows);
+        } else if (it->mid != it->end) {
+          branch_stale = true;
         }
       }
       i = next;
@@ -1233,10 +1366,10 @@ void GlobalRouter::improve_area(PhaseStats& stats) {
       for (const auto e : g.alive_edges()) {
         const RouteEdgeInfo& info = g.edge_info(e);
         if (!info.is_trunk()) continue;
-        const auto ep = density_->edge_params(info.channel, info.span);
-        const auto& cp = density_->channel_params(info.channel);
-        best = std::max(best, ep.d_max);
-        at_peak = at_peak || ep.d_max == cp.c_max;
+        const std::int32_t d_max =
+            density_->total_span_params(info.channel, info.span).max;
+        best = std::max(best, d_max);
+        at_peak = at_peak || d_max == density_->channel_params(info.channel).c_max;
       }
       if (at_peak) out = best;
     });

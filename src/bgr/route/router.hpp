@@ -240,11 +240,14 @@ class GlobalRouter {
   void fill_delay_half(NetId net, std::int32_t edge, SelectionKey& key) const;
   /// Whether the delay half of `net`'s candidates can be nonzero at all.
   [[nodiscard]] bool delay_half_active(NetId net) const;
-  /// Density-chart interval one commit changed (removed trunk edge, pruned
-  /// tail or re-flagged bridge), for the selection loop's re-key.
+  /// Density-chart interval one commit changed, for the selection loop's
+  /// re-key, and the chart it changed: the total chart d_M (a removed
+  /// trunk edge) or the bridge chart d_m (a removed or newly flagged
+  /// bridge; a removed bridge changes both and is listed once per chart).
   struct DensityChange {
     std::int32_t channel;
     IntInterval span;
+    bool bridge;
   };
   /// State mutation of one committed deletion (graph surgery + density +
   /// estimate/STA refresh). Shard workers pass a per-worker timing slot.
@@ -264,6 +267,7 @@ class GlobalRouter {
     std::int64_t delay_evals = 0;  // delay halves recomputed
     std::int64_t span_reads = 0;   // density halves that re-read spans
     std::int64_t nan_keys = 0;     // keys set holding a NaN tier
+    std::int64_t branch_flushes = 0;  // stale branch halves re-keyed
 
     void add(const SelectionTally& other);
   };

@@ -140,12 +140,10 @@ RoutingGraph::RoutingGraph(const Netlist& netlist, const Placement& placement,
       queue.push_back(w);
     }
   }
-  recompute_bridges();
+  graph_.bridges(bridge_);
   initial_flags_ = graph_.alive_flags();
   initial_flags_.insert(initial_flags_.end(), bridge_.begin(), bridge_.end());
 }
-
-void RoutingGraph::recompute_bridges() { bridge_ = graph_.bridges(); }
 
 void RoutingGraph::reset() {
   graph_.restore_alive(initial_flags_);
@@ -186,8 +184,10 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e,
   graph_.remove_edge(e);
   result.removed_edges.push_back(RemovedEdge{e, false});
 
-  // Prune dangling non-terminal branches starting from the endpoints.
-  std::vector<std::int32_t> queue{u, v};
+  // Prune dangling non-terminal branches starting from the endpoints. The
+  // queue's storage is reused across deletions on this thread.
+  thread_local std::vector<std::int32_t> queue;
+  queue.assign({u, v});
   while (!queue.empty()) {
     const auto w = queue.back();
     queue.pop_back();
@@ -205,14 +205,7 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e,
     }
   }
 
-  const auto old_bridge = bridge_;
-  recompute_bridges();
-  for (std::int32_t id = 0; id < graph_.edge_count(); ++id) {
-    if (graph_.edge_alive(id) && bridge_[static_cast<std::size_t>(id)] &&
-        !old_bridge[static_cast<std::size_t>(id)]) {
-      result.new_bridges.push_back(id);
-    }
-  }
+  graph_.update_bridges(bridge_, result.new_bridges);
 
   // The graph changed: rebuild (or drop) the no-skip reference search the
   // engine answers skip-edge queries against. delete_edge runs only at

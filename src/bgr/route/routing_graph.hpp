@@ -166,8 +166,6 @@ class RoutingGraph {
   [[nodiscard]] std::vector<std::int32_t> alive_edges() const;
 
  private:
-  void recompute_bridges();
-
   NetId net_;
   SmallGraph graph_;
   std::vector<RouteVertexInfo> vertices_;

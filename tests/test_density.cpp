@@ -138,8 +138,8 @@ std::pair<std::int32_t, std::int32_t> brute_peak(
 }
 
 /// Property sweep: the maintained channel aggregates and the span queries
-/// equal a brute-force scan of the charts after every update, over several
-/// channels and widths up to 300.
+/// (edge_params and the per-chart reads) equal a brute-force scan of the
+/// charts after every update, over several channels and widths up to 300.
 class DensityRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DensityRandom, ParamsMatchBruteForce) {
@@ -181,9 +181,15 @@ TEST_P(DensityRandom, ParamsMatchBruteForce) {
       ASSERT_EQ(map.channel_params(c),
                 (ChannelDensityParams{c_max, nc_max, c_min, nc_min}))
           << "channel " << c << " step " << step;
-      for (int q = 0; q < 3; ++q) {
-        const IntInterval span = IntInterval::spanning(
-            rng.uniform_i32(0, width - 1), rng.uniform_i32(0, width - 1));
+      // Random spans, a 1-column span and the full width.
+      const std::int32_t x = rng.uniform_i32(0, width - 1);
+      const IntInterval spans[] = {
+          IntInterval::spanning(rng.uniform_i32(0, width - 1),
+                                rng.uniform_i32(0, width - 1)),
+          IntInterval::spanning(rng.uniform_i32(0, width - 1),
+                                rng.uniform_i32(0, width - 1)),
+          IntInterval{x, x}, IntInterval{0, width - 1}};
+      for (const IntInterval span : spans) {
         const auto [d_max, nd_max] = brute_peak(t, span.lo, span.hi);
         const auto [d_min, nd_min] = brute_peak(b, span.lo, span.hi);
         const EdgeDensityParams ep = map.edge_params(c, span);
@@ -191,6 +197,13 @@ TEST_P(DensityRandom, ParamsMatchBruteForce) {
         ASSERT_EQ(ep.nd_max, nd_max);
         ASSERT_EQ(ep.d_min, d_min);
         ASSERT_EQ(ep.nd_min, nd_min);
+        // The per-chart reads: edge_params' fields of one chart.
+        const ChartSpanParams tp = map.total_span_params(c, span);
+        const ChartSpanParams bp = map.bridge_span_params(c, span);
+        ASSERT_EQ(tp.max, d_max);
+        ASSERT_EQ(tp.at_max, nd_max);
+        ASSERT_EQ(bp.max, d_min);
+        ASSERT_EQ(bp.at_max, nd_min);
       }
     }
   };

@@ -38,6 +38,12 @@ std::vector<bool> brute_force_bridges(const SmallGraph& g) {
   return out;
 }
 
+std::vector<bool> bridges_of(const SmallGraph& g) {
+  std::vector<bool> out;
+  g.bridges(out);
+  return out;
+}
+
 SmallGraph random_graph(Rng& rng, std::int32_t n, std::int32_t m) {
   SmallGraph g;
   for (std::int32_t i = 0; i < n; ++i) (void)g.add_vertex();
@@ -99,7 +105,7 @@ TEST(SmallGraph, BridgeInPath) {
   const auto c = g.add_vertex();
   const auto e0 = g.add_edge(a, b, 1.0);
   const auto e1 = g.add_edge(b, c, 1.0);
-  const auto bridges = g.bridges();
+  const auto bridges = bridges_of(g);
   EXPECT_TRUE(bridges[static_cast<std::size_t>(e0)]);
   EXPECT_TRUE(bridges[static_cast<std::size_t>(e1)]);
 }
@@ -112,7 +118,7 @@ TEST(SmallGraph, CycleHasNoBridges) {
   (void)g.add_edge(a, b, 1.0);
   (void)g.add_edge(b, c, 1.0);
   (void)g.add_edge(c, a, 1.0);
-  const auto bridges = g.bridges();
+  const auto bridges = bridges_of(g);
   for (std::int32_t e = 0; e < g.edge_count(); ++e) {
     EXPECT_FALSE(bridges[static_cast<std::size_t>(e)]);
   }
@@ -124,7 +130,7 @@ TEST(SmallGraph, ParallelEdgesAreNotBridges) {
   const auto b = g.add_vertex();
   (void)g.add_edge(a, b, 1.0);
   (void)g.add_edge(a, b, 2.0);
-  const auto bridges = g.bridges();
+  const auto bridges = bridges_of(g);
   EXPECT_FALSE(bridges[0]);
   EXPECT_FALSE(bridges[1]);
 }
@@ -157,7 +163,50 @@ TEST_P(SmallGraphRandom, BridgesMatchBruteForce) {
     for (std::int32_t e = 0; e < g.edge_count(); ++e) {
       if (g.edge_alive(e) && rng.bernoulli(0.2)) g.remove_edge(e);
     }
-    EXPECT_EQ(g.bridges(), brute_force_bridges(g));
+    EXPECT_EQ(bridges_of(g), brute_force_bridges(g));
+  }
+}
+
+// The routing graphs' bridge upkeep: graphs of different sizes share one
+// thread's bridge scratch, each keeps its own flags, and edges are deleted
+// one at a time (bridges included) in an interleaved order. After every
+// deletion the refreshed flags must be the brute-force bridges, and the
+// reported new bridges exactly the edges that turned into bridges.
+TEST_P(SmallGraphRandom, UpdateBridgesMatchesBruteForceDiff) {
+  Rng rng(GetParam() + 200);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<SmallGraph> graphs;
+    std::vector<std::vector<bool>> flags;
+    for (const std::int32_t n : {3, 40, 9, 120, 2}) {
+      graphs.push_back(random_graph(rng, n, rng.uniform_i32(n, 3 * n)));
+      flags.emplace_back(7, true);  // stale contents, wrong size
+      graphs.back().bridges(flags.back());
+      ASSERT_EQ(flags.back(), brute_force_bridges(graphs.back()));
+    }
+    std::vector<std::int32_t> new_bridges;
+    for (bool deleted = true; deleted;) {
+      deleted = false;
+      for (std::size_t i = 0; i < graphs.size(); ++i) {
+        SmallGraph& g = graphs[i];
+        if (g.alive_edge_count() == 0) continue;
+        std::int32_t e = rng.uniform_i32(0, g.edge_count() - 1);
+        while (!g.edge_alive(e)) e = (e + 1) % g.edge_count();
+        const std::vector<bool> before = brute_force_bridges(g);
+        g.remove_edge(e);
+        deleted = true;
+        const std::vector<bool> after = brute_force_bridges(g);
+        std::vector<std::int32_t> want;
+        for (std::int32_t id = 0; id < g.edge_count(); ++id) {
+          const auto k = static_cast<std::size_t>(id);
+          if (after[k] && !before[k]) want.push_back(id);
+        }
+        new_bridges.assign(1, -7);  // appended to, never cleared
+        g.update_bridges(flags[i], new_bridges);
+        ASSERT_EQ(flags[i], after) << "graph " << i << " edge " << e;
+        want.insert(want.begin(), -7);
+        ASSERT_EQ(new_bridges, want) << "graph " << i << " edge " << e;
+      }
+    }
   }
 }
 

@@ -55,6 +55,9 @@ ROUTE_SEMANTIC_METRICS = (
     "route.score_cache_miss",
     "route.key_delay_evals",
     "route.key_span_reads",
+    # Branch tops that re-keyed the lazily stale branch candidates
+    # (DESIGN.md §5, "Lazy branch tier").
+    "route.branch_flushes",
     "path.searches",
     "path.pops",
     "path.relaxations",
