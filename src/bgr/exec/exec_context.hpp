@@ -73,7 +73,7 @@ class ExecContext {
   void run_chunks(std::int64_t chunk_count,
                   const std::function<void(std::int64_t)>& chunk_fn);
 
-  /// Stats bookkeeping used by parallel_for/parallel_reduce; also feeds
+  /// Stats bookkeeping used by parallel_for; also feeds
   /// the process-wide `exec.items` metric.
   void note_items(std::int64_t n);
 

@@ -2,41 +2,7 @@
 
 #include <algorithm>
 
-#include "bgr/exec/parallel.hpp"
-
 namespace bgr {
-
-namespace {
-
-/// Vertices per level below which the levelized sweeps stay inline: tiny
-/// levels cost more to dispatch than to compute. Values are identical
-/// either way, so the threshold cannot affect results.
-constexpr std::int64_t kParallelLevelMin = 256;
-
-void group_by_level(const std::vector<std::int32_t>& level_of,
-                    std::vector<std::int32_t>& offsets,
-                    std::vector<std::int32_t>& vertices) {
-  std::int32_t levels = 0;
-  for (const std::int32_t l : level_of) levels = std::max(levels, l + 1);
-  std::vector<std::int32_t> count(static_cast<std::size_t>(levels) + 1, 0);
-  for (const std::int32_t l : level_of) ++count[static_cast<std::size_t>(l)];
-  offsets.assign(static_cast<std::size_t>(levels) + 1, 0);
-  for (std::int32_t l = 0; l < levels; ++l) {
-    offsets[static_cast<std::size_t>(l) + 1] =
-        offsets[static_cast<std::size_t>(l)] +
-        count[static_cast<std::size_t>(l)];
-  }
-  vertices.resize(level_of.size());
-  std::vector<std::int32_t> cursor(offsets.begin(), offsets.end() - 1);
-  // Ascending vertex id within each level (level_of is indexed by id).
-  for (std::size_t v = 0; v < level_of.size(); ++v) {
-    const auto l = static_cast<std::size_t>(level_of[v]);
-    vertices[static_cast<std::size_t>(cursor[l]++)] =
-        static_cast<std::int32_t>(v);
-  }
-}
-
-}  // namespace
 
 std::int32_t Dag::add_vertex() {
   BGR_CHECK(!frozen_);
@@ -98,9 +64,8 @@ void Dag::freeze() {
   BGR_CHECK_MSG(topo_.size() == n, "timing graph contains a cycle");
   frozen_ = true;  // adjacency views below are now valid
 
-  // Forward and reverse topological levels for the levelized (parallel)
-  // sweeps: every edge goes from a strictly lower to a higher forward
-  // level, and from a higher to a strictly lower reverse level.
+  // Forward topological levels: every edge goes from a strictly lower to
+  // a higher level (DirtyPropagator buckets its dirty cone by level).
   level_of_.assign(n, 0);
   for (const auto v : topo_) {
     for (const auto e : in_edges(v)) {
@@ -109,65 +74,19 @@ void Dag::freeze() {
           std::max(level_of_[static_cast<std::size_t>(v)],
                    level_of_[static_cast<std::size_t>(u)] + 1);
     }
-  }
-  rlevel_of_.assign(n, 0);
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const auto v = *it;
-    for (const auto e : out_edges(v)) {
-      const auto w = edges_[static_cast<std::size_t>(e)].to;
-      rlevel_of_[static_cast<std::size_t>(v)] =
-          std::max(rlevel_of_[static_cast<std::size_t>(v)],
-                   rlevel_of_[static_cast<std::size_t>(w)] + 1);
-    }
-  }
-  if (n > 0) {
-    group_by_level(level_of_, level_offsets_, level_vertices_);
-    group_by_level(rlevel_of_, rlevel_offsets_, rlevel_vertices_);
-  } else {
-    level_offsets_.assign(1, 0);
-    rlevel_offsets_.assign(1, 0);
+    level_count_ = std::max(level_count_,
+                            level_of_[static_cast<std::size_t>(v)] + 1);
   }
 }
 
 std::vector<double> Dag::longest_from(const std::vector<std::int32_t>& sources,
-                                      const std::vector<bool>& subset,
-                                      ExecContext* exec) const {
+                                      const std::vector<bool>& subset) const {
   BGR_CHECK(frozen_);
   const auto n = static_cast<std::size_t>(vertex_count());
   auto in_subset = [&](std::int32_t v) {
     return subset.empty() || subset[static_cast<std::size_t>(v)];
   };
   std::vector<double> lp(n, kMinusInf);
-  if (exec != nullptr && !exec->serial()) {
-    // Levelized pull sweep: each vertex reads only strictly lower levels,
-    // so vertices within one level are independent. A source keeps at
-    // least 0; kMinusInf + w stays kMinusInf, so dead in-edges are inert.
-    std::vector<char> is_source(n, 0);
-    for (const auto s : sources) {
-      if (in_subset(s)) is_source[static_cast<std::size_t>(s)] = 1;
-    }
-    auto relax = [&](std::int64_t i) {
-      const auto v = level_vertices_[static_cast<std::size_t>(i)];
-      if (!in_subset(v)) return;
-      double best = is_source[static_cast<std::size_t>(v)] ? 0.0 : kMinusInf;
-      for (const auto e : in_edges(v)) {
-        const Edge& ed = edges_[static_cast<std::size_t>(e)];
-        if (!in_subset(ed.from)) continue;
-        best = std::max(best, lp[static_cast<std::size_t>(ed.from)] + ed.weight);
-      }
-      lp[static_cast<std::size_t>(v)] = best;
-    };
-    for (std::int32_t l = 0; l < level_count(); ++l) {
-      const auto lo = level_offsets_[static_cast<std::size_t>(l)];
-      const auto hi = level_offsets_[static_cast<std::size_t>(l) + 1];
-      if (hi - lo >= kParallelLevelMin) {
-        parallel_for(*exec, hi - lo, [&](std::int64_t k) { relax(lo + k); });
-      } else {
-        for (std::int32_t k = lo; k < hi; ++k) relax(k);
-      }
-    }
-    return lp;
-  }
   for (auto s : sources) {
     if (in_subset(s)) lp[static_cast<std::size_t>(s)] = 0.0;
   }
@@ -185,43 +104,13 @@ std::vector<double> Dag::longest_from(const std::vector<std::int32_t>& sources,
 }
 
 std::vector<double> Dag::longest_to(const std::vector<std::int32_t>& sinks,
-                                    const std::vector<bool>& subset,
-                                    ExecContext* exec) const {
+                                    const std::vector<bool>& subset) const {
   BGR_CHECK(frozen_);
   const auto n = static_cast<std::size_t>(vertex_count());
   auto in_subset = [&](std::int32_t v) {
     return subset.empty() || subset[static_cast<std::size_t>(v)];
   };
   std::vector<double> ls(n, kMinusInf);
-  if (exec != nullptr && !exec->serial()) {
-    std::vector<char> is_sink(n, 0);
-    for (const auto s : sinks) {
-      if (in_subset(s)) is_sink[static_cast<std::size_t>(s)] = 1;
-    }
-    auto relax = [&](std::int64_t i) {
-      const auto v = rlevel_vertices_[static_cast<std::size_t>(i)];
-      if (!in_subset(v)) return;
-      double best = is_sink[static_cast<std::size_t>(v)] ? 0.0 : kMinusInf;
-      for (const auto e : out_edges(v)) {
-        const Edge& ed = edges_[static_cast<std::size_t>(e)];
-        if (!in_subset(ed.to)) continue;
-        best = std::max(best, ls[static_cast<std::size_t>(ed.to)] + ed.weight);
-      }
-      ls[static_cast<std::size_t>(v)] = best;
-    };
-    const auto rlevels =
-        static_cast<std::int32_t>(rlevel_offsets_.size()) - 1;
-    for (std::int32_t l = 0; l < rlevels; ++l) {
-      const auto lo = rlevel_offsets_[static_cast<std::size_t>(l)];
-      const auto hi = rlevel_offsets_[static_cast<std::size_t>(l) + 1];
-      if (hi - lo >= kParallelLevelMin) {
-        parallel_for(*exec, hi - lo, [&](std::int64_t k) { relax(lo + k); });
-      } else {
-        for (std::int32_t k = lo; k < hi; ++k) relax(k);
-      }
-    }
-    return ls;
-  }
   for (auto s : sinks) {
     if (in_subset(s)) ls[static_cast<std::size_t>(s)] = 0.0;
   }

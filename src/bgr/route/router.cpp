@@ -231,8 +231,7 @@ double GlobalRouter::net_extra_um(NetId net) const {
   return extra_um_.empty() ? 0.0 : extra_um_.at(net);
 }
 
-void GlobalRouter::refresh_net_estimate(NetId net,
-                                        TimingAnalyzer::UpdateSlot* slot) {
+void GlobalRouter::refresh_net_estimate(NetId net) {
   const RoutingGraph& g = *graphs_[net];
   const double cap =
       tech_.wire_cap_pf(g.estimated_length_um() + net_extra_um(net),
@@ -247,11 +246,8 @@ void GlobalRouter::refresh_net_estimate(NetId net,
     delay_graph_->set_net_cap(net, cap);
   }
   if (timing_active_for(net)) {
-    if (slot != nullptr) {
-      analyzer_->update_for_net(net, *slot);
-    } else {
-      analyzer_->update_for_net(net);
-    }
+    analyzer_->update_for_net(
+        net, timing_slots_[static_cast<std::size_t>(exec_->current_slot())]);
   }
 }
 
@@ -314,15 +310,12 @@ void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge,
   RoutingGraph& g = *graphs_[net];
   const std::int32_t w = net_density_width(net);
   const auto result = g.delete_edge(edge, refresh_cache);
-  for (const auto& removed : result.removed_edges) {
-    const RouteEdgeInfo& info = g.edge_info(removed.edge);
+  // No removed edge was a bridge (DESIGN.md §5), so only d_M loses them.
+  for (const auto removed : result.removed_edges) {
+    const RouteEdgeInfo& info = g.edge_info(removed);
     if (!info.is_trunk()) continue;
     density_->remove_total(info.channel, info.span, w);
     changes.push_back(DensityChange{info.channel, info.span, false});
-    if (removed.was_bridge) {
-      density_->remove_bridge(info.channel, info.span, w);
-      changes.push_back(DensityChange{info.channel, info.span, true});
-    }
   }
   for (const auto nb : result.new_bridges) {
     const RouteEdgeInfo& info = g.edge_info(nb);
@@ -333,16 +326,15 @@ void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge,
 }
 
 void GlobalRouter::apply_delete(NetId net, std::int32_t edge,
-                                TimingAnalyzer::UpdateSlot* slot,
                                 bool defer_estimate,
                                 std::vector<DensityChange>& changes) {
   delete_in_graph(net, edge, !defer_estimate, changes);
-  if (!defer_estimate) refresh_net_estimate(net, slot);
+  if (!defer_estimate) refresh_net_estimate(net);
   const Net& n = netlist_.net(net);
   if (n.is_differential()) {
     // Mirrored deletion on the homogeneous shadow graph (§4.1).
     delete_in_graph(n.diff_partner, edge, !defer_estimate, changes);
-    if (!defer_estimate) refresh_net_estimate(n.diff_partner, slot);
+    if (!defer_estimate) refresh_net_estimate(n.diff_partner);
   }
 }
 
@@ -471,8 +463,8 @@ GlobalRouter::SelectionScratch& GlobalRouter::scratch_for_thread() {
 }
 
 GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
-    const std::vector<Candidate>& candidates, TimingAnalyzer::UpdateSlot* slot,
-    SelectionScratch& scratch, const CommitFn& on_commit) {
+    const std::vector<Candidate>& candidates, SelectionScratch& scratch,
+    const CommitFn& on_commit) {
   SelectionTally tally;
   SelectionIndex& index = scratch.index;
   index.clear(order_);
@@ -811,7 +803,7 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
                          timing_active_for(n.diff_partner));
     own.stale = own.stale || defer;
     changes.clear();
-    apply_delete(net, edge, slot, defer, changes);
+    apply_delete(net, edge, defer, changes);
     on_commit(net, edge, key);
 
     // The committed net: the deleted edge, its pruned tail and the newly
@@ -898,7 +890,7 @@ GlobalRouter::SelectionTally GlobalRouter::select_and_delete(
     if (!ns.stale) continue;
     auto refresh = [&](NetId member) {
       graphs_[member]->refresh_search_cache();
-      refresh_net_estimate(member, slot);
+      refresh_net_estimate(member);
     };
     refresh(ns.net);
     const Net& n = netlist_.net(ns.net);
@@ -964,13 +956,8 @@ void GlobalRouter::decompose(const std::vector<Candidate>& candidates) {
                       tree_epochs_.front());
 }
 
-std::vector<TimingAnalyzer::UpdateSlot> GlobalRouter::timing_slots() const {
-  std::vector<TimingAnalyzer::UpdateSlot> slots;
-  slots.reserve(static_cast<std::size_t>(exec_->thread_count()));
-  for (std::int32_t i = 0; i < exec_->thread_count(); ++i) {
-    slots.emplace_back(*analyzer_);
-  }
-  return slots;
+void GlobalRouter::absorb_timing_slots() {
+  for (auto& slot : timing_slots_) analyzer_->absorb(slot);
 }
 
 void GlobalRouter::run_sharded_deletion(
@@ -980,10 +967,6 @@ void GlobalRouter::run_sharded_deletion(
   for (const Candidate& c : candidates) {
     per_shard[static_cast<std::size_t>(net_shard_[c.net])].push_back(c);
   }
-
-  // Workers run their STA refreshes through private scratch and the
-  // caller folds the counters back after the join.
-  std::vector<TimingAnalyzer::UpdateSlot> slots = timing_slots();
 
   // Each worker runs the exact serial greedy over its shard, recording
   // every commit with the key it was selected under. Cross-shard state is
@@ -1004,9 +987,7 @@ void GlobalRouter::run_sharded_deletion(
         const std::size_t i = order[static_cast<std::size_t>(c)];
         std::vector<CommitRec>& log = logs[i];
         tallies[i] = select_and_delete(
-            per_shard[i],
-            &slots[static_cast<std::size_t>(exec_->current_slot())],
-            scratch_for_thread(),
+            per_shard[i], scratch_for_thread(),
             [&log](NetId net, std::int32_t edge, const SelectionKey& key) {
               log.push_back(CommitRec{net, edge, key});
             });
@@ -1014,7 +995,6 @@ void GlobalRouter::run_sharded_deletion(
       },
       /*grain=*/1);
   for (const SelectionTally& tally : tallies) fold_tally(tally);
-  for (auto& slot : slots) analyzer_->absorb(slot);
 
   // Canonical replay: k-way merge of the shard logs, always advancing the
   // best *front*. The serial loop's next commit is the minimum over all
@@ -1116,7 +1096,7 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
     std::vector<std::int32_t> committed;
     for (const NetId n : order) {
       committed.clear();
-      fold_tally(reduce_net_to_tree(n, /*slot=*/nullptr, committed));
+      fold_tally(reduce_net_to_tree(n, committed));
       for (const std::int32_t e : committed) record_commit(n, e, stats);
     }
     return;
@@ -1149,28 +1129,26 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
   // The whole design's buffers: freed when the loop ends.
   SelectionScratch scratch;
   fold_tally(select_and_delete(
-      candidates, /*slot=*/nullptr, scratch,
+      candidates, scratch,
       [&](NetId net, std::int32_t edge, const SelectionKey&) {
         record_commit(net, edge, stats);
       }));
 }
 
 GlobalRouter::SelectionTally GlobalRouter::reduce_net_to_tree(
-    NetId net, TimingAnalyzer::UpdateSlot* slot,
-    std::vector<std::int32_t>& committed) {
+    NetId net, std::vector<std::int32_t>& committed) {
   std::vector<Candidate> candidates;
   for (const auto e : graphs_[net]->non_bridge_edges()) {
     candidates.push_back(Candidate{net, e});
   }
   return select_and_delete(
-      candidates, slot, scratch_for_thread(),
+      candidates, scratch_for_thread(),
       [&](NetId, std::int32_t edge, const SelectionKey&) {
         committed.push_back(edge);
       });
 }
 
-NetId GlobalRouter::reroute_net(NetId net, TimingAnalyzer::UpdateSlot* slot,
-                                RerouteTally& tally) {
+NetId GlobalRouter::reroute_net(NetId net, RerouteTally& tally) {
   net = primary_of(net);
   ++tally.reroutes;
   RerouteMemo& memo = reroute_memo_[net];
@@ -1194,10 +1172,10 @@ NetId GlobalRouter::reroute_net(NetId net, TimingAnalyzer::UpdateSlot* slot,
     graphs_[member]->reset();
     ++tally.resets;
     register_graph_density(member);
-    refresh_net_estimate(member, slot);
+    refresh_net_estimate(member);
   }
   memo.edges.clear();
-  tally.selection.add(reduce_net_to_tree(net, slot, memo.edges));
+  tally.selection.add(reduce_net_to_tree(net, memo.edges));
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (graphs_[members[i]]->alive_edges() != before[i]) {
       ++epoch;
@@ -1226,7 +1204,7 @@ void GlobalRouter::fold_reroutes(const RerouteTally& tally,
 
 void GlobalRouter::reroute_one(NetId net, PhaseStats& stats) {
   RerouteTally tally;
-  const NetId primary = reroute_net(net, /*slot=*/nullptr, tally);
+  const NetId primary = reroute_net(net, tally);
   fold_reroutes(tally, stats);
   for (const std::int32_t e : reroute_memo_[primary].edges) {
     record_commit(primary, e, stats);
@@ -1250,27 +1228,21 @@ void GlobalRouter::reroute_in_shards(const std::vector<NetId>& nets,
     if (s < shard_count) {
       per_shard[s].push_back(n);
     } else {
-      (void)reroute_net(n, /*slot=*/nullptr, tally);
+      (void)reroute_net(n, tally);
     }
   }
   // Each shard's sublist in list order on one worker: shards share no
   // channel and no constraint, so re-routes of different shards commute
   // and every net sees the state the list order would give it.
-  std::vector<TimingAnalyzer::UpdateSlot> slots = timing_slots();
   std::vector<RerouteTally> tallies(shard_count);
   const std::vector<std::size_t> order = largest_first(per_shard);
   parallel_for(
       *exec_, static_cast<std::int64_t>(shard_count),
       [&](std::int64_t c) {
         const std::size_t i = order[static_cast<std::size_t>(c)];
-        TimingAnalyzer::UpdateSlot& slot =
-            slots[static_cast<std::size_t>(exec_->current_slot())];
-        for (const NetId n : per_shard[i]) {
-          (void)reroute_net(n, &slot, tallies[i]);
-        }
+        for (const NetId n : per_shard[i]) (void)reroute_net(n, tallies[i]);
       },
       /*grain=*/1);
-  for (auto& slot : slots) analyzer_->absorb(slot);
   for (const RerouteTally& t : tallies) tally.add(t);
   fold_reroutes(tally, stats);
   for (const NetId n : nets) {
@@ -1402,11 +1374,13 @@ void GlobalRouter::run_phase(const std::string& name, bool enabled,
   stats.name = name;
   ScopedSpan span(name, "phase");
   const ExecStats exec_before = exec_->stats();
+  absorb_timing_slots();  // set-up updates: graph build, refine's estimates
   const StaStats sta_before = analyzer_->sta_stats();
   const PathSearchStats path_before = path_engine_->stats();
   Stopwatch watch;
   if (enabled) body(stats);
   stats.seconds = watch.seconds();
+  absorb_timing_slots();
   stats.exec_regions = exec_->stats().regions - exec_before.regions;
   stats.exec_chunks = exec_->stats().chunks - exec_before.chunks;
   const StaStats& sta = analyzer_->sta_stats();
@@ -1504,7 +1478,10 @@ RouteOutcome GlobalRouter::run() {
     analyzer_ = std::make_unique<TimingAnalyzer>(
         *delay_graph_,
         options_.use_constraints ? constraints_ : std::vector<PathConstraint>{},
-        exec_.get(), options_.incremental_sta);
+        options_.incremental_sta);
+    for (std::int32_t i = 0; i < exec_->thread_count(); ++i) {
+      timing_slots_.emplace_back(*analyzer_);
+    }
     slacks = analyzer_->net_slacks();
   }
   auto pipeline = run_assignment_pipeline(netlist_, placement_, slacks,

@@ -92,10 +92,10 @@ struct RouterOptions {
   /// empty in production use.
   std::function<void(NetId, std::int32_t)> deletion_observer;
   /// Worker threads for the exec/ subsystem: per-net routing-graph
-  /// construction, candidate-edge criteria scoring, and the levelized STA
-  /// sweeps. 1 (the default) is the strict serial path; any N produces a
-  /// bit-identical RouteOutcome (see DESIGN.md, "Execution model &
-  /// determinism"). 0 means hardware concurrency.
+  /// construction, the sharded initial deletion loop and the
+  /// shard-parallel area passes. 1 (the default) is the strict serial
+  /// path; any N produces a bit-identical RouteOutcome (see DESIGN.md,
+  /// "Execution model & determinism"). 0 means hardware concurrency.
   std::int32_t threads = 1;
   /// Co-tenancy (DESIGN.md §12): when set, the router's parallel regions
   /// run on this externally owned pool (plus the calling thread) instead
@@ -228,8 +228,9 @@ class GlobalRouter {
   void build_all_graphs();
   void register_graph_density(NetId net);
   void unregister_graph_density(NetId net);
-  void refresh_net_estimate(NetId net,
-                            TimingAnalyzer::UpdateSlot* slot = nullptr);
+  /// Re-estimates the net's wiring delay and updates its timing through
+  /// the calling thread's timing slot.
+  void refresh_net_estimate(NetId net);
   [[nodiscard]] std::int32_t net_density_width(NetId net) const;
   /// The delay half (C_d, Gl, LD: path search + STA evaluation) of a
   /// candidate's SelectionKey. It reads only the member nets' graphs and
@@ -242,20 +243,18 @@ class GlobalRouter {
   [[nodiscard]] bool delay_half_active(NetId net) const;
   /// Density-chart interval one commit changed, for the selection loop's
   /// re-key, and the chart it changed: the total chart d_M (a removed
-  /// trunk edge) or the bridge chart d_m (a removed or newly flagged
-  /// bridge; a removed bridge changes both and is listed once per chart).
+  /// trunk edge, never a bridge) or the bridge chart d_m (a newly flagged
+  /// bridge).
   struct DensityChange {
     std::int32_t channel;
     IntInterval span;
     bool bridge;
   };
   /// State mutation of one committed deletion (graph surgery + density +
-  /// estimate/STA refresh). Shard workers pass a per-worker timing slot.
-  /// Every density interval it touches is appended to `changes`. With
-  /// `defer_estimate` the graphs' search caches and estimates are left
-  /// stale for the caller to refresh.
-  void apply_delete(NetId net, std::int32_t edge,
-                    TimingAnalyzer::UpdateSlot* slot, bool defer_estimate,
+  /// estimate/STA refresh). Every density interval it touches is
+  /// appended to `changes`. With `defer_estimate` the graphs' search
+  /// caches and estimates are left stale for the caller to refresh.
+  void apply_delete(NetId net, std::int32_t edge, bool defer_estimate,
                     std::vector<DensityChange>& changes);
   /// Caller-thread bookkeeping of one commit: stats, metrics, observer.
   void record_commit(NetId net, std::int32_t edge, PhaseStats& stats);
@@ -284,19 +283,16 @@ class GlobalRouter {
   /// until none is deletable, re-keying after each commit only the
   /// candidates whose inputs moved (DESIGN.md §5). `on_commit` runs after
   /// each commit with the key the edge was selected under. Polls cancel
-  /// once per 256 commits. Workers off the caller thread pass their timing
-  /// slot; the caller thread passes null.
+  /// once per 256 commits.
   SelectionTally select_and_delete(const std::vector<Candidate>& candidates,
-                                   TimingAnalyzer::UpdateSlot* slot,
                                    SelectionScratch& scratch,
                                    const CommitFn& on_commit);
   /// Fills shards_ with the interaction decomposition (DESIGN.md §13) of
   /// the nets owning `candidates` and, when it has more than one shard,
   /// net_shard_ and one reroute-memo epoch per shard.
   void decompose(const std::vector<Candidate>& candidates);
-  /// One STA scratch slot per exec slot, for a parallel region's workers;
-  /// absorb each into the analyzer after the join.
-  [[nodiscard]] std::vector<TimingAnalyzer::UpdateSlot> timing_slots() const;
+  /// Folds every timing slot's counters into the analyzer's sta_stats().
+  void absorb_timing_slots();
   /// Sharded §3.4 deletion loop (DESIGN.md §13) over decompose()'s
   /// shards; needs more than one.
   void run_sharded_deletion(const std::vector<Candidate>& candidates,
@@ -306,7 +302,7 @@ class GlobalRouter {
   /// Deletes edges of one net until its graph is a tree (the local loop of
   /// rip-up/re-route and of the sequential baseline), appending every
   /// committed edge to `committed` in commit order.
-  SelectionTally reduce_net_to_tree(NetId net, TimingAnalyzer::UpdateSlot* slot,
+  SelectionTally reduce_net_to_tree(NetId net,
                                     std::vector<std::int32_t>& committed);
   void initial_routing(PhaseStats& stats);
   /// Effort of a run of re-routes, folded into the phase and the metrics
@@ -322,10 +318,8 @@ class GlobalRouter {
   static void fold_reroutes(const RerouteTally& tally, PhaseStats& stats);
   /// Rips up and re-routes `net`'s primary (and its shadow), or replays
   /// its memo. Leaves the committed edges in the primary's memo and
-  /// records no commit; returns the primary. Workers off the caller
-  /// thread pass their timing slot.
-  NetId reroute_net(NetId net, TimingAnalyzer::UpdateSlot* slot,
-                    RerouteTally& tally);
+  /// records no commit; returns the primary.
+  NetId reroute_net(NetId net, RerouteTally& tally);
   /// reroute_net on the caller thread plus its bookkeeping: tallies, then
   /// one record_commit per committed edge.
   void reroute_one(NetId net, PhaseStats& stats);
@@ -414,6 +408,9 @@ class GlobalRouter {
   }
   IdVector<NetId, RerouteMemo> reroute_memo_;
   std::vector<std::unique_ptr<SelectionScratch>> scratch_;
+  /// STA scratch, one per exec slot like scratch_; refresh_net_estimate
+  /// uses the calling thread's. run_phase absorbs their counters.
+  std::vector<TimingAnalyzer::UpdateSlot> timing_slots_;
   CriteriaOrder order_ = CriteriaOrder::kDelayFirst;
   RunState run_state_ = RunState::kIdle;
   std::int32_t feed_cells_added_ = 0;

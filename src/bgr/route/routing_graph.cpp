@@ -182,7 +182,7 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e,
   const auto u = graph_.edge(e).u;
   const auto v = graph_.edge(e).v;
   graph_.remove_edge(e);
-  result.removed_edges.push_back(RemovedEdge{e, false});
+  result.removed_edges.push_back(e);
 
   // Prune dangling non-terminal branches starting from the endpoints. The
   // queue's storage is reused across deletions on this thread.
@@ -199,8 +199,7 @@ RoutingGraph::DeletionResult RoutingGraph::delete_edge(std::int32_t e,
       const auto next = graph_.other_end(de, w);
       graph_.remove_edge(de);
       graph_.remove_vertex(w);
-      result.removed_edges.push_back(
-          RemovedEdge{de, bool{bridge_[static_cast<std::size_t>(de)]}});
+      result.removed_edges.push_back(de);
       queue.push_back(next);
     }
   }

@@ -105,13 +105,11 @@ class RoutingGraph {
   [[nodiscard]] std::vector<std::int32_t> non_bridge_edges() const;
   [[nodiscard]] bool is_tree() const;
 
-  struct RemovedEdge {
-    std::int32_t edge;
-    bool was_bridge;  // bridge status before this deletion (for d_m upkeep)
-  };
   struct DeletionResult {
-    std::vector<RemovedEdge> removed_edges;  // selected edge + pruned tail
-    std::vector<std::int32_t> new_bridges;   // survivors that became bridges
+    /// The selected edge, then its pruned tail. None of them was a bridge
+    /// before the deletion (DESIGN.md §5).
+    std::vector<std::int32_t> removed_edges;
+    std::vector<std::int32_t> new_bridges;  // survivors that became bridges
   };
 
   /// Deletes a non-bridge edge, prunes any dangling non-terminal branches,

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "bgr/common/natural_order.hpp"
-#include "bgr/exec/parallel.hpp"
 #include "bgr/obs/metrics.hpp"
 #include "bgr/obs/trace.hpp"
 
@@ -13,10 +12,9 @@ namespace bgr {
 
 namespace {
 
-/// STA work totals. Like StaStats, every add happens outside parallel
-/// regions (update_all accounts for the whole sweep up front; propagate
-/// results are consumed on the calling thread), so the totals are a pure
-/// function of the design and options — semantic.
+/// STA work totals. Every update adds its own work, whichever thread runs
+/// it, and the counters are atomic, so the totals are a pure function of
+/// the design and options — semantic.
 struct StaMetrics {
   Counter& full_sweeps = MetricsRegistry::global().counter(
       "sta.full_sweeps", MetricScope::kSemantic);
@@ -47,9 +45,8 @@ double penalty(double margin_ps, double limit_ps) {
 
 TimingAnalyzer::TimingAnalyzer(DelayGraph& delay_graph,
                                std::vector<PathConstraint> constraints,
-                               ExecContext* exec, bool incremental)
+                               bool incremental)
     : delay_graph_(&delay_graph),
-      exec_(exec),
       incremental_(incremental),
       constraints_(std::move(constraints)) {
   const Netlist& netlist = delay_graph_->netlist();
@@ -98,9 +95,6 @@ TimingAnalyzer::TimingAnalyzer(DelayGraph& delay_graph,
     st.mask_size = static_cast<std::int64_t>(
         std::count(st.mask.begin(), st.mask.end(), true));
   }
-  if (incremental_ && !constraints_.empty()) {
-    propagator_ = std::make_unique<DirtyPropagator>(dag);
-  }
   update_all();
 }
 
@@ -114,54 +108,15 @@ void TimingAnalyzer::refresh_margin(ConstraintId p) {
   margins_[p.index()] = constraints_[p.index()].limit_ps - critical;
 }
 
-void TimingAnalyzer::recompute(ConstraintId p, ExecContext* inner_exec) {
+void TimingAnalyzer::full_sweep(ConstraintId p, StaStats& stats) {
   ConstraintState& st = states_[p.index()];
-  st.lp =
-      delay_graph_->dag().longest_from(st.source_vertices, st.mask, inner_exec);
+  st.lp = delay_graph_->dag().longest_from(st.source_vertices, st.mask);
   refresh_margin(p);
   ++versions_[p.index()];
-}
-
-void TimingAnalyzer::update_for_net(NetId net) {
-  const auto& members = constraints_of_net_[net];
-  if (members.empty()) return;
-  if (!incremental_) {
-    // Usually one or two constraints: levelize within the sweep rather
-    // than fanning out across constraints.
-    for (const ConstraintId p : members) {
-      recompute(p, exec_);
-      ++stats_.full_sweeps;
-      stats_.full_vertices += states_[p.index()].mask_size;
-      sta_metrics().full_sweeps.add(1);
-      sta_metrics().full_vertices.add(states_[p.index()].mask_size);
-    }
-    return;
-  }
-  // Dirty-cone propagation: only the heads of the net's wiring arcs (the
-  // vertices whose pull reads the changed weights) seed the re-relaxation.
-  const Dag& dag = delay_graph_->dag();
-  seed_scratch_.clear();
-  for (const auto arc : delay_graph_->net_arcs(net)) {
-    seed_scratch_.push_back(dag.edge(arc).to);
-  }
-  for (const ConstraintId p : members) {
-    ConstraintState& st = states_[p.index()];
-    const DirtyPropagator::Result res = propagator_->propagate(
-        seed_scratch_, st.mask, st.is_source, st.lp, exec_);
-    ++stats_.incremental_updates;
-    stats_.dirty_seeds += res.seeds;
-    stats_.dirty_vertices += res.relaxed;
-    sta_metrics().incremental_updates.add(1);
-    sta_metrics().dirty_seeds.add(res.seeds);
-    sta_metrics().dirty_vertices.add(res.relaxed);
-    sta_metrics().dirty_cone.record(res.relaxed);
-    if (res.any_change) {
-      // Margin and downstream scores depend only on lp — untouched values
-      // mean the constraint (and its score-cache version) stays put.
-      refresh_margin(p);
-      ++versions_[p.index()];
-    }
-  }
+  ++stats.full_sweeps;
+  stats.full_vertices += st.mask_size;
+  sta_metrics().full_sweeps.add(1);
+  sta_metrics().full_vertices.add(st.mask_size);
 }
 
 TimingAnalyzer::UpdateSlot::UpdateSlot(const TimingAnalyzer& analyzer) {
@@ -174,15 +129,11 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
   const auto& members = constraints_of_net_[net];
   if (members.empty()) return;
   if (!incremental_) {
-    for (const ConstraintId p : members) {
-      recompute(p, /*inner_exec=*/nullptr);
-      ++slot.stats_.full_sweeps;
-      slot.stats_.full_vertices += states_[p.index()].mask_size;
-      sta_metrics().full_sweeps.add(1);
-      sta_metrics().full_vertices.add(states_[p.index()].mask_size);
-    }
+    for (const ConstraintId p : members) full_sweep(p, slot.stats_);
     return;
   }
+  // Dirty-cone propagation: only the heads of the net's wiring arcs (the
+  // vertices whose pull reads the changed weights) seed the re-relaxation.
   const Dag& dag = delay_graph_->dag();
   slot.seeds_.clear();
   for (const auto arc : delay_graph_->net_arcs(net)) {
@@ -191,7 +142,7 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
   for (const ConstraintId p : members) {
     ConstraintState& st = states_[p.index()];
     const DirtyPropagator::Result res = slot.propagator_->propagate(
-        slot.seeds_, st.mask, st.is_source, st.lp, /*exec=*/nullptr);
+        slot.seeds_, st.mask, st.is_source, st.lp);
     ++slot.stats_.incremental_updates;
     slot.stats_.dirty_seeds += res.seeds;
     slot.stats_.dirty_vertices += res.relaxed;
@@ -200,6 +151,8 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
     sta_metrics().dirty_vertices.add(res.relaxed);
     sta_metrics().dirty_cone.record(res.relaxed);
     if (res.any_change) {
+      // Margin and downstream scores depend only on lp — untouched values
+      // mean the constraint (and its score-cache version) stays put.
       refresh_margin(p);
       ++versions_[p.index()];
     }
@@ -217,25 +170,7 @@ void TimingAnalyzer::absorb(UpdateSlot& slot) {
 
 void TimingAnalyzer::update_all() {
   ScopedSpan span("sta_update_all", "sta");
-  const auto n = static_cast<std::int64_t>(constraints_.size());
-  stats_.full_sweeps += n;
-  sta_metrics().full_sweeps.add(n);
-  for (const ConstraintState& st : states_) {
-    stats_.full_vertices += st.mask_size;
-    sta_metrics().full_vertices.add(st.mask_size);
-  }
-  if (exec_ != nullptr && !exec_->serial() && n > 1) {
-    // One chunk per constraint; each recompute writes only its own state
-    // and margin slot. Sweeps stay serial inside to avoid nested regions.
-    parallel_for(
-        *exec_, n,
-        [&](std::int64_t i) {
-          recompute(ConstraintId{static_cast<std::int32_t>(i)}, nullptr);
-        },
-        /*grain=*/1);
-    return;
-  }
-  for (const ConstraintId p : constraints()) recompute(p, exec_);
+  for (const ConstraintId p : constraints()) full_sweep(p, stats_);
 }
 
 double TimingAnalyzer::worst_margin_ps() const {
@@ -309,7 +244,7 @@ std::vector<NetId> TimingAnalyzer::critical_path_nets(ConstraintId p) const {
   const Dag& dag = delay_graph_->dag();
   const double critical = critical_delay_ps(p);
   // ls(v): longest distance to any sink inside the mask.
-  const auto ls = dag.longest_to(st.sink_vertices, st.mask, exec_);
+  const auto ls = dag.longest_to(st.sink_vertices, st.mask);
   std::vector<NetId> out;
   for (const auto arc : st.net_arc_ids) {
     const Dag::Edge& e = dag.edge(arc);
@@ -342,7 +277,7 @@ IdVector<NetId, double> TimingAnalyzer::net_slacks() const {
   for (const ConstraintId p : constraints()) {
     const ConstraintState& st = states_[p.index()];
     const double limit = constraints_[p.index()].limit_ps;
-    const auto ls = dag.longest_to(st.sink_vertices, st.mask, exec_);
+    const auto ls = dag.longest_to(st.sink_vertices, st.mask);
     for (const auto arc : st.net_arc_ids) {
       const Dag::Edge& e = dag.edge(arc);
       const double lp_v = st.lp[static_cast<std::size_t>(e.from)];

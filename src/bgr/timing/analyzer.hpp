@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "bgr/common/ids.hpp"
-#include "bgr/exec/exec_context.hpp"
 #include "bgr/timing/delay_graph.hpp"
 #include "bgr/timing/incremental.hpp"
 
@@ -37,11 +36,6 @@ struct DelayCriteria {
 /// the router's edge-selection heuristics need.
 class TimingAnalyzer {
  public:
-  /// `exec` (optional, not owned) parallelizes update_all across
-  /// constraints and the longest-path sweeps within topological levels;
-  /// results are bit-identical to the serial analyzer for any thread
-  /// count. Must outlive the analyzer when given.
-  ///
   /// `incremental` switches update_for_net from full per-constraint
   /// re-sweeps to dirty-cone propagation (DirtyPropagator): only the
   /// fanout of the changed net's wiring arcs is re-relaxed, and margins
@@ -49,7 +43,7 @@ class TimingAnalyzer {
   /// slacks are bit-identical to the full sweeps in either mode.
   TimingAnalyzer(DelayGraph& delay_graph,
                  std::vector<PathConstraint> constraints,
-                 ExecContext* exec = nullptr, bool incremental = false);
+                 bool incremental = false);
 
   [[nodiscard]] DelayGraph& delay_graph() { return *delay_graph_; }
   [[nodiscard]] const DelayGraph& delay_graph() const { return *delay_graph_; }
@@ -75,16 +69,12 @@ class TimingAnalyzer {
     return nets_of_constraint_.at(p.index());
   }
 
-  /// Recomputes lp / critical delay / margin for every constraint touched
-  /// by this net (to be called after DelayGraph::set_net_cap).
-  void update_for_net(NetId net);
-
-  /// Scratch for one concurrent caller of the slot variant of
-  /// update_for_net: a private dirty-cone propagator, seed buffer and
-  /// StaStats accumulator. The sharded deletion loop gives every worker
-  /// its own slot; the workers' nets touch disjoint constraint sets by
-  /// construction, so the shared per-constraint arrays (lp, margins,
-  /// versions) are written without overlap.
+  /// Scratch for one caller of update_for_net: a private dirty-cone
+  /// propagator, seed buffer and StaStats accumulator. Concurrent callers
+  /// (the router's shard workers) each use their own slot; their nets
+  /// touch disjoint constraint sets by construction, so the shared
+  /// per-constraint arrays (lp, margins, versions) are written without
+  /// overlap.
   class UpdateSlot {
    public:
     explicit UpdateSlot(const TimingAnalyzer& analyzer);
@@ -96,11 +86,11 @@ class TimingAnalyzer {
     StaStats stats_;
   };
 
-  /// Concurrent-caller variant of update_for_net: identical values and
-  /// version bumps, but every piece of mutable scratch lives in `slot` and
-  /// the sweeps stay strictly serial (no nested parallel regions).
-  /// Concurrent callers must touch disjoint constraint sets; fold the
-  /// slot's counters into sta_stats() with absorb() after joining.
+  /// Recomputes lp / critical delay / margin for every constraint touched
+  /// by this net (to be called after DelayGraph::set_net_cap), with every
+  /// piece of mutable scratch in `slot`. Concurrent callers must touch
+  /// disjoint constraint sets. The slot's counters reach sta_stats() only
+  /// through absorb().
   void update_for_net(NetId net, UpdateSlot& slot);
 
   /// Adds a slot's accumulated counters into sta_stats() and zeroes them.
@@ -170,22 +160,18 @@ class TimingAnalyzer {
     std::int64_t mask_size = 0;   // vertices of G_d(P), for sweep accounting
   };
 
-  /// `inner_exec` levelizes the longest-path sweep; pass nullptr when the
-  /// caller already parallelizes across constraints (no nested regions).
-  void recompute(ConstraintId p, ExecContext* inner_exec);
+  /// Full longest-path sweep of one constraint, counted into `stats`.
+  void full_sweep(ConstraintId p, StaStats& stats);
 
   /// Refreshes margins_[p] from the cached lp values of the constraint.
   void refresh_margin(ConstraintId p);
 
   DelayGraph* delay_graph_;
-  ExecContext* exec_ = nullptr;  // not owned; nullptr → serial
   bool incremental_ = false;
   std::vector<PathConstraint> constraints_;
   std::vector<ConstraintState> states_;
   std::vector<double> margins_;
   std::vector<std::uint64_t> versions_;
-  std::unique_ptr<DirtyPropagator> propagator_;  // incremental mode only
-  std::vector<std::int32_t> seed_scratch_;
   StaStats stats_;
   IdVector<NetId, std::vector<ConstraintId>> constraints_of_net_;
   std::vector<std::vector<NetId>> nets_of_constraint_;

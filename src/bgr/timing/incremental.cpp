@@ -2,17 +2,7 @@
 
 #include <algorithm>
 
-#include "bgr/exec/parallel.hpp"
-
 namespace bgr {
-
-namespace {
-
-/// Dirty vertices per level below which the re-pull stays inline — same
-/// rationale (and roughly the same value) as the levelized full sweep.
-constexpr std::int64_t kParallelDirtyMin = 256;
-
-}  // namespace
 
 DirtyPropagator::DirtyPropagator(const Dag& dag) : dag_(&dag) {
   BGR_CHECK(dag.frozen());
@@ -23,7 +13,7 @@ DirtyPropagator::DirtyPropagator(const Dag& dag) : dag_(&dag) {
 DirtyPropagator::Result DirtyPropagator::propagate(
     const std::vector<std::int32_t>& seed_vertices,
     const std::vector<bool>& mask, const std::vector<char>& is_source,
-    std::vector<double>& lp, ExecContext* exec) {
+    std::vector<double>& lp) {
   Result result;
   const Dag& dag = *dag_;
   std::int32_t min_level = dag.level_count();
@@ -48,10 +38,7 @@ DirtyPropagator::Result DirtyPropagator::propagate(
   for (std::int32_t l = min_level; l <= max_level; ++l) {
     auto& bucket = pending_[static_cast<std::size_t>(l)];
     if (bucket.empty()) continue;
-    const auto count = static_cast<std::int64_t>(bucket.size());
-    changed_.assign(bucket.size(), 0);
-    auto pull = [&](std::int64_t i) {
-      const std::int32_t v = bucket[static_cast<std::size_t>(i)];
+    for (const std::int32_t v : bucket) {
       double best = is_source[static_cast<std::size_t>(v)] ? 0.0
                                                            : Dag::kMinusInf;
       for (const auto e : dag.in_edges(v)) {
@@ -59,29 +46,16 @@ DirtyPropagator::Result DirtyPropagator::propagate(
         if (!mask[static_cast<std::size_t>(ed.from)]) continue;
         best = std::max(best, lp[static_cast<std::size_t>(ed.from)] + ed.weight);
       }
-      if (best != lp[static_cast<std::size_t>(v)]) {
-        lp[static_cast<std::size_t>(v)] = best;
-        changed_[static_cast<std::size_t>(i)] = 1;
-      }
-    };
-    if (exec != nullptr && !exec->serial() && count >= kParallelDirtyMin) {
-      parallel_for(*exec, count, pull);
-    } else {
-      for (std::int64_t i = 0; i < count; ++i) pull(i);
-    }
-    result.relaxed += count;
-    // Serial fan-out in bucket order: successors land in strictly higher
-    // levels, so nothing already processed is ever re-marked.
-    for (std::int64_t i = 0; i < count; ++i) {
-      if (!changed_[static_cast<std::size_t>(i)]) continue;
+      if (best == lp[static_cast<std::size_t>(v)]) continue;
+      lp[static_cast<std::size_t>(v)] = best;
       result.any_change = true;
-      const std::int32_t v = bucket[static_cast<std::size_t>(i)];
+      // Successors land in strictly higher levels' lists, never this one.
       for (const auto e : dag.out_edges(v)) {
         const Dag::Edge& ed = dag.edge(e);
-        if (!mask[static_cast<std::size_t>(ed.to)]) continue;
-        mark(ed.to);
+        if (mask[static_cast<std::size_t>(ed.to)]) mark(ed.to);
       }
     }
+    result.relaxed += static_cast<std::int64_t>(bucket.size());
     // max_level may have grown through mark(); the loop bound re-reads it.
   }
 

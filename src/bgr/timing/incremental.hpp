@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bgr/exec/exec_context.hpp"
 #include "bgr/graph/dag.hpp"
 
 namespace bgr {
@@ -37,11 +36,10 @@ struct StaStats {
 /// doubles in the same in-edge order). Early termination is sound because
 /// an unchanged value cannot change any successor's pull.
 ///
-/// Determinism: levels are processed in ascending order; within a level
-/// each dirty vertex writes only its own lp slot, and the pull reads only
-/// strictly lower (already final) levels. Large levels fan out through
-/// `parallel_for`, whose chunking is thread-count independent, so results
-/// and counters are identical for any thread count.
+/// Levels are processed in ascending order and each dirty vertex pulls
+/// only from strictly lower (already final) levels; a vertex whose value
+/// moved marks its in-mask successors, which land in strictly higher
+/// levels, so nothing already processed is ever re-marked.
 ///
 /// The propagator is constraint-agnostic scratch: one instance serves every
 /// constraint of an analyzer, as long as calls do not overlap.
@@ -61,14 +59,13 @@ class DirtyPropagator {
   /// `lp` must hold the fixed point of the pre-change weights.
   Result propagate(const std::vector<std::int32_t>& seed_vertices,
                    const std::vector<bool>& mask,
-                   const std::vector<char>& is_source, std::vector<double>& lp,
-                   ExecContext* exec);
+                   const std::vector<char>& is_source,
+                   std::vector<double>& lp);
 
  private:
   const Dag* dag_;
   std::vector<char> dirty_;  // cleared back to 0 after every propagate
   std::vector<std::vector<std::int32_t>> pending_;  // per-level dirty lists
-  std::vector<char> changed_;                       // per-bucket scratch
 };
 
 }  // namespace bgr

@@ -68,7 +68,8 @@ TEST(Analyzer, UpdateForNetTracksCapChange) {
   TimingAnalyzer an(dg, {constraint_a_to_d(c, 200.0)});
   const double m0 = an.margin_ps(ConstraintId{0});
   dg.set_net_cap(c.n0, 0.01);  // +2.6 ps on the path
-  an.update_for_net(c.n0);
+  TimingAnalyzer::UpdateSlot slot(an);
+  an.update_for_net(c.n0, slot);
   EXPECT_NEAR(an.margin_ps(ConstraintId{0}), m0 - 2.6, 1e-9);
 }
 
@@ -147,6 +148,55 @@ TEST(Analyzer, NetSlacksAscendingWithCriticality) {
   EXPECT_NEAR(slacks[c.n1], an.margin_ps(ConstraintId{0}), 1e-9);
   // Unconstrained nets have infinite slack.
   EXPECT_TRUE(std::isinf(slacks[c.q]));
+}
+
+/// Updates routed through two UpdateSlots in turn leave the analyzer in
+/// exactly the state of a single-slot run: the slots hold scratch and
+/// counters only, and absorb() folds the counters back without loss.
+TEST(Analyzer, TwoSlotsMatchOneSlot) {
+  const Dataset ds = generate_circuit(testutil::small_spec(5));
+  for (const bool incremental : {true, false}) {
+    DelayGraph dg_one(ds.netlist);
+    DelayGraph dg_two(ds.netlist);
+    TimingAnalyzer one(dg_one, ds.constraints, incremental);
+    TimingAnalyzer two(dg_two, ds.constraints, incremental);
+    TimingAnalyzer::UpdateSlot slot(one);
+    TimingAnalyzer::UpdateSlot slots[2] = {TimingAnalyzer::UpdateSlot(two),
+                                           TimingAnalyzer::UpdateSlot(two)};
+    std::vector<NetId> nets;
+    for (const NetId n : ds.netlist.nets()) {
+      if (!one.constraints_of_net(n).empty()) nets.push_back(n);
+    }
+    ASSERT_FALSE(nets.empty());
+    Rng rng(11);
+    for (int step = 0; step < 200; ++step) {
+      const NetId n = nets[static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(nets.size()) - 1))];
+      const double cap = rng.uniform_real(0.0, 0.3);
+      dg_one.set_net_cap(n, cap);
+      dg_two.set_net_cap(n, cap);
+      one.update_for_net(n, slot);
+      two.update_for_net(n, slots[step % 2]);
+    }
+    for (const ConstraintId p : one.constraints()) {
+      EXPECT_EQ(one.longest_prefix(p), two.longest_prefix(p)) << p.index();
+      EXPECT_EQ(one.margin_ps(p), two.margin_ps(p)) << p.index();
+      EXPECT_EQ(one.version(p), two.version(p)) << p.index();
+    }
+    one.absorb(slot);
+    two.absorb(slots[0]);
+    two.absorb(slots[1]);
+    const StaStats& a = one.sta_stats();
+    const StaStats& b = two.sta_stats();
+    EXPECT_EQ(a.incremental_updates, b.incremental_updates);
+    EXPECT_EQ(a.full_sweeps, b.full_sweeps);
+    EXPECT_EQ(a.dirty_seeds, b.dirty_seeds);
+    EXPECT_EQ(a.dirty_vertices, b.dirty_vertices);
+    EXPECT_EQ(a.full_vertices, b.full_vertices);
+    EXPECT_GT(incremental ? a.incremental_updates : a.full_sweeps,
+              static_cast<std::int64_t>(ds.constraints.size()))
+        << "updates never reached the counters";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Unit tests for the exec/ subsystem: thread-pool lifecycle, exception
 // propagation through parallel regions, edge-case ranges, and the
-// determinism contract of parallel_for / parallel_reduce.
+// chunk coverage and stats of parallel_for.
 #include <atomic>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -56,10 +55,6 @@ TEST(ExecContext, EmptyRangeDoesNothing) {
   parallel_for(exec, 0, [&](std::int64_t) { touched = true; });
   EXPECT_FALSE(touched);
   EXPECT_EQ(exec.stats().regions, 0);
-  const int sum = parallel_reduce(
-      exec, 0, 7, [](std::int64_t) { return 0; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(sum, 7);  // identity passes through untouched
 }
 
 TEST(ExecContext, OneElementRange) {
@@ -99,50 +94,6 @@ TEST(ExecContext, ExceptionPropagatesFromSerialFallback) {
                               if (i == 3) throw std::logic_error("serial");
                             }),
                std::logic_error);
-}
-
-// Non-associative floating-point sum: bit-identical across thread counts
-// because the fold tree depends only on (n, grain).
-TEST(ExecContext, ReduceIsBitIdenticalAcrossThreadCounts) {
-  constexpr std::int64_t kN = 50'000;
-  auto map = [](std::int64_t i) {
-    return 1.0 / (static_cast<double>(i) + 0.3);
-  };
-  auto combine = [](double a, double b) { return a + b; };
-  ExecContext serial(1);
-  ExecContext two(2);
-  ExecContext eight(8);
-  const double s1 = parallel_reduce(serial, kN, 0.0, map, combine);
-  const double s2 = parallel_reduce(two, kN, 0.0, map, combine);
-  const double s8 = parallel_reduce(eight, kN, 0.0, map, combine);
-  EXPECT_EQ(s1, s2);  // EQ, not NEAR: the contract is bit-identity
-  EXPECT_EQ(s1, s8);
-}
-
-// First-wins argmin (the router's tie-break shape): the earliest index
-// with the minimal score must win for every thread count.
-TEST(ExecContext, ArgminTieBreakMatchesSerialScan) {
-  constexpr std::int64_t kN = 9'973;
-  auto score = [](std::int64_t i) { return (i * 37) % 100; };  // many ties
-  struct Best {
-    std::int64_t score = -1;
-    std::int64_t index = -1;
-  };
-  auto map = [&](std::int64_t i) { return Best{score(i), i}; };
-  auto combine = [](Best a, Best b) {
-    if (a.index < 0) return b;
-    if (b.index < 0) return a;
-    if (b.score < a.score) return b;
-    return a;  // ties and equals: earlier index wins
-  };
-  Best expect;
-  for (std::int64_t i = 0; i < kN; ++i) expect = combine(expect, map(i));
-  for (const int threads : {1, 2, 4, 8}) {
-    ExecContext exec(threads);
-    const Best got = parallel_reduce(exec, kN, Best{}, map, combine);
-    EXPECT_EQ(got.index, expect.index) << "threads=" << threads;
-    EXPECT_EQ(got.score, expect.score) << "threads=" << threads;
-  }
 }
 
 TEST(ExecContext, StatsCountRegionsAndChunks) {

@@ -54,8 +54,8 @@ std::int64_t check_design(std::uint64_t seed, DelayModel model,
     // The reference shares the router's delay graph (it only reads it) but
     // recomputes arrival times from scratch on every step.
     if (!reference) {
-      reference = std::make_unique<TimingAnalyzer>(
-          router->delay_graph(), design.constraints, nullptr);
+      reference = std::make_unique<TimingAnalyzer>(router->delay_graph(),
+                                                   design.constraints);
     } else {
       reference->update_all();
     }

@@ -59,6 +59,11 @@ void expect_outcomes_identical(const RouteOutcome& a, const RouteOutcome& b) {
     EXPECT_EQ(pa.reroutes, pb.reroutes) << pa.name;
     EXPECT_EQ(pa.critical_delay_ps, pb.critical_delay_ps) << pa.name;
     EXPECT_EQ(pa.sum_max_density, pb.sum_max_density) << pa.name;
+    // The timing-engine counters reach the phase only through the
+    // router's per-slot absorb: a worker slot left unabsorbed loses them.
+    EXPECT_EQ(pa.sta_updates, pb.sta_updates) << pa.name;
+    EXPECT_EQ(pa.sta_dirty_vertices, pb.sta_dirty_vertices) << pa.name;
+    EXPECT_EQ(pa.sta_relaxations, pb.sta_relaxations) << pa.name;
   }
 }
 
@@ -161,9 +166,10 @@ FullSnapshot route_fully(const CircuitSpec& spec, std::int32_t threads) {
 
 // The shard-parallel area passes (DESIGN.md §5): on a design that splits
 // into several shards, every re-route of an area pass runs on its shard's
-// worker, yet the routed state, the deletion sequence and every semantic
-// counter (route.reroutes_skipped included: the memo epochs are per shard
-// at any thread count) match the 1-thread run.
+// worker, yet the routed state, the deletion sequence, every phase's STA
+// counters and every semantic counter (route.reroutes_skipped included:
+// the memo epochs are per shard at any thread count) match the 1-thread
+// run.
 TEST(ParallelDeterminism, ShardParallelAreaPasses) {
   const CircuitSpec spec = testutil::shard_spec(331, 5);
   const FullSnapshot serial = route_fully(spec, 1);
@@ -182,6 +188,7 @@ TEST(ParallelDeterminism, ShardParallelAreaPasses) {
     ASSERT_EQ(area.name, "improve_area");
     EXPECT_GT(area.reroutes, 0);
     EXPECT_GT(area.exec_regions, 0);  // the passes ran a parallel region
+    EXPECT_GT(area.sta_updates, 0);   // ...whose workers updated timing
   }
 }
 

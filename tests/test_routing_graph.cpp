@@ -199,6 +199,56 @@ TEST(RoutingGraph, DifferentialShadowMirrors) {
 }
 
 
+// The pruning after a deletion never removes a bridge (DESIGN.md §5), so a
+// deletion changes the bridge chart d_m only through new bridges. Checked
+// by deleting random non-bridges, one at a time down to a tree, on every
+// net's graph of generated designs and of C1P1.
+TEST(RoutingGraph, PruningNeverRemovesABridge) {
+  std::vector<Dataset> designs;
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    designs.push_back(generate_circuit(testutil::small_spec(seed)));
+    designs.push_back(generate_circuit(testutil::shard_spec(seed, 4)));
+  }
+  designs.push_back(make_dataset("C1P1"));
+  Rng rng(29);
+  std::int64_t pruned = 0;
+  for (Dataset& ds : designs) {
+    const auto pipeline = run_assignment_pipeline(
+        ds.netlist, ds.placement,
+        IdVector<NetId, double>(static_cast<std::size_t>(ds.netlist.net_count()),
+                                0.0));
+    for (const NetId n : ds.netlist.nets()) {
+      const Net& net = ds.netlist.net(n);
+      RoutingGraph g =
+          net.is_differential() && !net.diff_primary
+              ? RoutingGraph(ds.netlist, ds.placement, ds.tech,
+                             pipeline.assignment, n, net.diff_partner, 1)
+              : RoutingGraph(ds.netlist, ds.placement, ds.tech,
+                             pipeline.assignment, n);
+      while (!g.is_tree()) {
+        const auto candidates = g.non_bridge_edges();
+        ASSERT_FALSE(candidates.empty());
+        const auto e = candidates[static_cast<std::size_t>(rng.uniform_i32(
+            0, static_cast<std::int32_t>(candidates.size()) - 1))];
+        std::vector<char> bridge(static_cast<std::size_t>(g.graph().edge_count()));
+        for (std::int32_t k = 0; k < g.graph().edge_count(); ++k) {
+          bridge[static_cast<std::size_t>(k)] = g.is_bridge(k) ? 1 : 0;
+        }
+        const auto result = g.delete_edge(e);
+        ASSERT_EQ(result.removed_edges.front(), e);
+        for (std::size_t i = 1; i < result.removed_edges.size(); ++i) {
+          const auto removed = result.removed_edges[i];
+          ASSERT_FALSE(bridge[static_cast<std::size_t>(removed)])
+              << ds.name << " net " << net.name << ": deleting edge " << e
+              << " pruned bridge " << removed;
+          ++pruned;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0) << "no deletion pruned a tail";
+}
+
 // ---------------------------------------------------------------------------
 // reset(): a graph reset mid-routing must equal a fresh build bit for bit.
 

@@ -71,6 +71,7 @@ TEST_P(LmPessimism, CommittedMarginNeverBelowLocalMargin) {
   pc.sinks = {c.d_term};
   pc.limit_ps = 220.0;
   TimingAnalyzer an(dg, {pc});
+  TimingAnalyzer::UpdateSlot slot(an);
   const ConstraintId p{0};
 
   const NetId nets[] = {c.a, c.n0, c.n1};
@@ -91,7 +92,7 @@ TEST_P(LmPessimism, CommittedMarginNeverBelowLocalMargin) {
     const double base = c.nl.net_fanin_cap_pf(target) * factors.tf_ps_per_pf;
     const double cap_new = (d_new - base) / factors.td_ps_per_pf;
     dg.set_net_cap(target, cap_new);
-    an.update_for_net(target);
+    an.update_for_net(target, slot);
     EXPECT_GE(an.margin_ps(p), lm - 1e-9)
         << "LM must be a pessimistic bound (round " << round << ")";
   }
@@ -116,7 +117,8 @@ TEST(LmPessimism, ExactOnCriticalPath) {
   const auto factors = c.nl.net_driver_factors(c.n0);
   const double base = c.nl.net_fanin_cap_pf(c.n0) * factors.tf_ps_per_pf;
   dg.set_net_cap(c.n0, (d_new - base) / factors.td_ps_per_pf);
-  an.update_for_net(c.n0);
+  TimingAnalyzer::UpdateSlot slot(an);
+  an.update_for_net(c.n0, slot);
   EXPECT_NEAR(an.margin_ps(p), lm, 1e-9);
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Exactness matrix: checks that two bgr_route builds route identically.
 # Both binaries route C1P1, C1P2, C2P1, C2P2, C3P1 and 10k at threads 1, 2
-# and 4, under the default options, --rc and --unconstrained. Per run it
+# and 4, under the default options, --rc, --unconstrained and
+# --incremental-sta off (the full-sweep STA path). Per run it
 # compares the --stats result line and phase lines (effort columns
 # included; the cpu figure and the wall-time table stripped) and the
 # --save-route files byte for byte, and prints one line:
@@ -13,7 +14,7 @@
 #
 # Exit status 0 when every run matches, 1 on any difference, 2 on bad
 # arguments. A run takes a few seconds at most (10k is the largest), so the
-# 54 pairs finish in a few minutes on one core.
+# 72 pairs finish in a few minutes on one core.
 set -u
 
 if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
@@ -42,11 +43,13 @@ run() {
       --save-route "$work/$tag.route" "$@" 2>&1 | filter > "$work/$tag.stats"
 }
 
+runs=0
 diffs=0
 for dataset in C1P1 C1P2 C2P1 C2P2 C3P1 10k; do
-  for option in "" --rc --unconstrained; do
+  for option in "" --rc --unconstrained "--incremental-sta off"; do
     for threads in 1 2 4; do
       label="$dataset ${option:-default} t$threads"
+      runs=$((runs + 1))
       run "$parent" parent "$dataset" "$threads" $option
       run "$change" change "$dataset" "$threads" $option
       what=""
@@ -69,5 +72,5 @@ for dataset in C1P1 C1P2 C2P1 C2P2 C3P1 10k; do
   done
 done
 
-echo "exactness matrix: $diffs of 54 runs differ"
+echo "exactness matrix: $diffs of $runs runs differ"
 [ "$diffs" -eq 0 ]
